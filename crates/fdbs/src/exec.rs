@@ -24,6 +24,7 @@
 //! original column numbering, so executors translate build columns into
 //! pruned positions before hashing.
 
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -37,8 +38,10 @@ use fedwf_types::{
 
 use crate::engine::Fdbs;
 use crate::expr::BoundExpr;
+use crate::hashjoin::{nan_key_error, BuildSide, HashJoin};
 use crate::plan::{Access, AggColumn, AggFn, AggregatePlan, FromStep, JoinKey, Plan};
 use crate::udtf::{Udtf, UdtfKind};
+use crate::vexpr::VCol;
 
 /// Which executor strategy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,7 +121,7 @@ fn execute_materialized(
         let proj = plan.step_projections.get(i).and_then(|p| p.as_deref());
         let access = plan.step_access.get(i).copied().unwrap_or_default();
         rows = execute_step(fdbs, step, i, jk, proj, access, rows, params, meter, mode)
-            .context(format!("evaluating FROM item {} ({step:?})", i + 1))?;
+            .context(from_item_context(i, step))?;
         // Every composed intermediate is a materialization point on this
         // path — that is exactly what the streaming executor avoids.
         tally_rows(meter, &rows);
@@ -251,13 +254,17 @@ fn execute_step(
         ExecMode::Naive => None,
     };
     match step {
-        FromStep::ScanLocal {
-            table,
-            pushdown,
-            schema,
-            ..
-        } => {
-            if let Some(jk) = jk {
+        FromStep::ScanLocal { .. } | FromStep::ScanForeign { .. } => {
+            if let (
+                FromStep::ScanLocal {
+                    table,
+                    pushdown,
+                    schema,
+                    ..
+                },
+                Some(jk),
+            ) = (step, jk)
+            {
                 if use_index_probe(fdbs, table, schema, jk, access)? {
                     return index_probe_join(
                         fdbs,
@@ -270,53 +277,12 @@ fn execute_step(
                         meter,
                     );
                 }
-                let scanned =
-                    fdbs.catalog()
-                        .local()
-                        .scan_project(table.as_str(), pushdown, proj)?;
-                meter.charge(
-                    Component::Fdbs,
-                    "Scan local table",
-                    cost.predicate_eval * scanned.row_count() as u64,
-                );
-                tally_rows(meter, scanned.rows());
-                let build_cols = build_positions(&jk.build, proj)?;
-                let out = hash_join(prefix, scanned.rows(), &build_cols, &jk.probe, params)?;
-                charge_join(meter, cost, scanned.row_count() + out.len());
-                return Ok(out);
             }
-            let scanned = fdbs
-                .catalog()
-                .local()
-                .scan_project(table.as_str(), pushdown, proj)?;
-            meter.charge(
-                Component::Fdbs,
-                "Scan local table",
-                cost.predicate_eval * scanned.row_count() as u64,
-            );
-            tally_rows(meter, scanned.rows());
-            Ok(cross(prefix, scanned.rows()))
-        }
-        FromStep::ScanForeign {
-            server,
-            remote_name,
-            pushdown,
-            ..
-        } => {
-            let scanned = server.scan_project(remote_name, pushdown, proj)?;
-            meter.charge(
-                Component::Fdbs,
-                format!("Subquery to SQL source {}", server.name()),
-                cost.rmi_call + cost.rmi_return,
-            );
-            tally_rows(meter, scanned.rows());
-            if let Some(jk) = jk {
-                let build_cols = build_positions(&jk.build, proj)?;
-                let out = hash_join(prefix, scanned.rows(), &build_cols, &jk.probe, params)?;
-                charge_join(meter, cost, scanned.row_count() + out.len());
-                return Ok(out);
+            let rows = scan_step_rows(fdbs, step, proj, meter)?;
+            match jk {
+                Some(jk) => hash_join(prefix, BuildSide::Rows(rows), jk, proj, params, cost, meter),
+                None => Ok(cross(prefix, &rows)),
             }
-            Ok(cross(prefix, scanned.rows()))
         }
         FromStep::TableFunc {
             udtf,
@@ -336,10 +302,15 @@ fn execute_step(
                 let rrows = pruned_rows(&result, proj);
                 tally_rows(meter, &rrows);
                 if let Some(jk) = jk {
-                    let build_cols = build_positions(&jk.build, proj)?;
-                    let out = hash_join(prefix, &rrows, &build_cols, &jk.probe, params)?;
-                    charge_join(meter, cost, rrows.len() + out.len());
-                    return Ok(out);
+                    return hash_join(
+                        prefix,
+                        BuildSide::Rows(rrows),
+                        jk,
+                        proj,
+                        params,
+                        cost,
+                        meter,
+                    );
                 }
                 if position > 0 {
                     meter.charge(
@@ -504,72 +475,27 @@ pub(crate) fn charge_join(meter: &mut Meter, cost: &CostModel, rows: usize) {
 /// path's `sql_cmp` raises "cannot compare" for it on every pairing).
 pub(crate) fn join_key_checked(v: &Value) -> FedResult<Option<ValueKey>> {
     match v.join_key() {
-        Some(ValueKey::NaN) => Err(FedError::execution(format!(
-            "cannot compare {v} in a join key"
-        ))),
+        Some(ValueKey::NaN) => Err(nan_key_error()),
         other => Ok(other),
     }
 }
 
-/// Evaluate the build-side key of one row; `None` means the row joins
-/// nothing (a NULL key under SQL three-valued logic).
-pub(crate) fn build_key(row: &Row, build_cols: &[usize]) -> FedResult<Option<Vec<ValueKey>>> {
-    let mut key = Vec::with_capacity(build_cols.len());
-    for &c in build_cols {
-        match join_key_checked(&row.values()[c])? {
-            Some(k) => key.push(k),
-            None => return Ok(None),
-        }
-    }
-    Ok(Some(key))
-}
-
-/// Evaluate the probe-side key of one prefix row; `None` joins nothing.
-fn probe_key(row: &Row, probe: &[BoundExpr], params: &[Value]) -> FedResult<Option<Vec<ValueKey>>> {
-    let mut key = Vec::with_capacity(probe.len());
-    for p in probe {
-        let v = p.eval(row.values(), params)?;
-        match join_key_checked(&v)? {
-            Some(k) => key.push(k),
-            None => return Ok(None),
-        }
-    }
-    Ok(Some(key))
-}
-
-/// Hash-compose the step's `build_rows` against `prefix` on the extracted
-/// equi-join keys. `build_cols` index the build rows' (possibly pruned)
-/// layout. Output order matches `cross` + filter exactly: prefix-major,
-/// build rows in scan order. Empty inputs short-circuit before any key is
-/// evaluated — the naive path evaluates nothing there either, so error
-/// behavior stays aligned.
+/// Hash-compose the step's build side against `prefix` on the extracted
+/// equi-join keys and book the composition charge — the streaming
+/// [`HashJoin`] operator run over one batch holding the whole prefix.
+#[allow(clippy::too_many_arguments)]
 fn hash_join(
     prefix: Vec<Row>,
-    build_rows: &[Row],
-    build_cols: &[usize],
-    probe: &[BoundExpr],
+    build: BuildSide,
+    jk: &JoinKey,
+    proj: Option<&[usize]>,
     params: &[Value],
+    cost: &CostModel,
+    meter: &mut Meter,
 ) -> FedResult<Vec<Row>> {
-    if prefix.is_empty() || build_rows.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut table: HashMap<Vec<ValueKey>, Vec<usize>> = HashMap::new();
-    for (i, row) in build_rows.iter().enumerate() {
-        if let Some(key) = build_key(row, build_cols)? {
-            table.entry(key).or_default().push(i);
-        }
-    }
-    let mut out = Vec::new();
-    for left in &prefix {
-        let Some(key) = probe_key(left, probe, params)? else {
-            continue;
-        };
-        if let Some(matches) = table.get(&key) {
-            for &i in matches {
-                out.push(left.concat(&build_rows[i]));
-            }
-        }
-    }
+    let mut join = HashJoin::new(build, build_positions(&jk.build, proj)?, &jk.probe);
+    let out = join.push_rows(prefix, params)?;
+    join.finish(cost, meter);
     Ok(out)
 }
 
@@ -660,20 +586,123 @@ pub(crate) fn table_from_rows(schema: SchemaRef, rows: Vec<Row>) -> Table {
 // Incremental aggregation (shared by all modes)
 // ---------------------------------------------------------------------------
 
-/// Collected argument values per group: (key values, per-column data).
-pub(crate) struct Group {
+/// One aggregate column's running state, folded one non-NULL argument at a
+/// time in input order. Folding gives exactly what evaluating the function
+/// over the whole collected argument list would, without keeping the list.
+#[derive(Clone)]
+enum Acc {
+    /// A GROUP BY key column (its value lives in [`Group::keys`]).
+    Key,
+    /// `COUNT(*)`: reads the group's row count.
+    CountRows,
+    /// `COUNT(arg)`: non-NULL arguments.
+    Count(u64),
+    /// Integer `SUM`: non-NULL arguments and the checked running sum,
+    /// `None` once it overflowed (the error surfaces at finish).
+    IntSum {
+        n: u64,
+        sum: Option<i64>,
+    },
+    /// `AVG`, and `SUM` into a DOUBLE column: non-NULL arguments and their
+    /// f64 sum, folded from `-0.0` as `Iterator::sum` does.
+    FloatSum {
+        n: u64,
+        sum: f64,
+        avg: bool,
+    },
+    /// `MIN`/`MAX` under `index_cmp`; the first of equal values is kept.
+    Min(Option<Value>),
+    Max(Option<Value>),
+}
+
+impl Acc {
+    fn new(col: &AggColumn, out: DataType) -> Acc {
+        let AggColumn::Agg { f, arg } = col else {
+            return Acc::Key;
+        };
+        match f {
+            AggFn::Count if arg.is_none() => Acc::CountRows,
+            AggFn::Count => Acc::Count(0),
+            AggFn::Sum if out != DataType::Double => Acc::IntSum { n: 0, sum: Some(0) },
+            AggFn::Sum | AggFn::Avg => Acc::FloatSum {
+                n: 0,
+                sum: -0.0,
+                avg: *f == AggFn::Avg,
+            },
+            AggFn::Min => Acc::Min(None),
+            AggFn::Max => Acc::Max(None),
+        }
+    }
+
+    /// Fold one non-NULL argument. Non-numeric arguments count toward
+    /// `n` but not the sums, as the collected-list evaluation had it.
+    fn add(&mut self, v: Value) {
+        match self {
+            Acc::Key | Acc::CountRows => {}
+            Acc::Count(n) => *n += 1,
+            Acc::IntSum { n, sum } => {
+                *n += 1;
+                if let Some(x) = v.as_i64() {
+                    *sum = sum.and_then(|s| s.checked_add(x));
+                }
+            }
+            Acc::FloatSum { n, sum, .. } => {
+                *n += 1;
+                if let Some(x) = v.as_f64() {
+                    *sum += x;
+                }
+            }
+            Acc::Min(cur) => {
+                if cur
+                    .as_ref()
+                    .is_none_or(|a| a.index_cmp(&v) == Ordering::Greater)
+                {
+                    *cur = Some(v);
+                }
+            }
+            Acc::Max(cur) => {
+                if cur
+                    .as_ref()
+                    .is_none_or(|a| a.index_cmp(&v) == Ordering::Less)
+                {
+                    *cur = Some(v);
+                }
+            }
+        }
+    }
+
+    /// The aggregate's value over a group of `rows` rows.
+    fn result(&self, rows: u64) -> FedResult<Value> {
+        Ok(match self {
+            Acc::Key => unreachable!("key columns read the group's key values"),
+            Acc::CountRows => Value::BigInt(rows as i64),
+            Acc::Count(n) => Value::BigInt(*n as i64),
+            Acc::IntSum { n: 0, .. } | Acc::FloatSum { n: 0, .. } => Value::Null,
+            Acc::IntSum { sum, .. } => {
+                Value::BigInt(sum.ok_or_else(|| FedError::execution("SUM overflow"))?)
+            }
+            Acc::FloatSum {
+                n, sum, avg: true, ..
+            } => Value::Double(sum / *n as f64),
+            Acc::FloatSum { sum, .. } => Value::Double(*sum),
+            Acc::Min(v) | Acc::Max(v) => v.clone().unwrap_or(Value::Null),
+        })
+    }
+}
+
+/// One group: its key values (from its first row), one accumulator per
+/// aggregate column, and its row count.
+struct Group {
     keys: Vec<Value>,
-    /// For each aggregate column: non-null argument values (for
-    /// COUNT(*): the total row count as `seen`).
-    values: Vec<Vec<Value>>,
+    accs: Vec<Acc>,
     seen: u64,
 }
 
 /// Incremental GROUP BY/aggregate state. Rows are pushed one at a time (the
-/// streaming sink feeds it per batch; the materializing paths feed it the
-/// collected row set), and [`Aggregator::finish`] evaluates the aggregate
-/// functions. Without GROUP BY there is exactly one group — even over zero
-/// rows (`COUNT(*)` of an empty table is 0, `SUM` is NULL). Groups appear in
+/// streaming sinks feed it per batch; the materializing paths feed it the
+/// collected row set), and [`Aggregator::finish`] reads the accumulators.
+/// Without GROUP BY there is exactly one group — even over zero rows
+/// (`COUNT(*)` of an empty table is 0, `SUM` is NULL). Groups appear in
 /// first-appearance order on every path; the fast paths find them through a
 /// hash map, the naive path by linear `index_cmp` search.
 pub(crate) struct Aggregator<'p> {
@@ -682,8 +711,14 @@ pub(crate) struct Aggregator<'p> {
     hashed: bool,
     predicate_eval: u64,
     row_output: u64,
+    /// Fresh accumulators, cloned into each new group.
+    fresh: Vec<Acc>,
     groups: Vec<Group>,
+    /// The hashed lookup: group keys to group index.
     lookup: HashMap<Vec<ValueKey>, usize>,
+    /// The lookup's probe key, reused across rows so a group that already
+    /// exists is found without allocating.
+    key_buf: Vec<ValueKey>,
 }
 
 impl<'p> Aggregator<'p> {
@@ -699,13 +734,44 @@ impl<'p> Aggregator<'p> {
             hashed,
             predicate_eval: cost.predicate_eval,
             row_output: cost.row_output,
+            fresh: agg
+                .columns
+                .iter()
+                .zip(plan.out_schema.columns())
+                .map(|((col, _), out)| Acc::new(col, out.data_type))
+                .collect(),
             groups: Vec::new(),
-            lookup: HashMap::new(),
+            lookup: HashMap::default(),
+            key_buf: Vec::new(),
         }
     }
 
+    /// The group of a row with these key values, created on first sight.
+    fn group_of(&mut self, keys: &[Value]) -> usize {
+        if self.hashed {
+            self.key_buf.clear();
+            self.key_buf.extend(keys.iter().map(Value::group_key));
+            if let Some(&g) = self.lookup.get(self.key_buf.as_slice()) {
+                return g;
+            }
+            self.lookup.insert(self.key_buf.clone(), self.groups.len());
+        } else if let Some(g) = self.groups.iter().position(|g| {
+            g.keys
+                .iter()
+                .zip(keys)
+                .all(|(a, b)| a.index_cmp(b) == Ordering::Equal)
+        }) {
+            return g;
+        }
+        self.groups.push(Group {
+            keys: keys.to_vec(),
+            accs: self.fresh.clone(),
+            seen: 0,
+        });
+        self.groups.len() - 1
+    }
+
     pub(crate) fn push(&mut self, row: &Row, params: &[Value], meter: &mut Meter) -> FedResult<()> {
-        let agg_count = self.agg.columns.len();
         meter.charge(Component::Fdbs, "Evaluate predicates", self.predicate_eval);
         let keys: Vec<Value> = self
             .agg
@@ -713,45 +779,14 @@ impl<'p> Aggregator<'p> {
             .iter()
             .map(|k| k.eval(row.values(), params))
             .collect::<FedResult<_>>()?;
-        let idx = if self.hashed {
-            let hkey: Vec<ValueKey> = keys.iter().map(Value::group_key).collect();
-            match self.lookup.entry(hkey) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    self.groups.push(Group {
-                        keys: keys.clone(),
-                        values: vec![Vec::new(); agg_count],
-                        seen: 0,
-                    });
-                    *e.insert(self.groups.len() - 1)
-                }
-            }
-        } else {
-            let found = self.groups.iter().position(|g| {
-                g.keys
-                    .iter()
-                    .zip(&keys)
-                    .all(|(a, b)| a.index_cmp(b) == std::cmp::Ordering::Equal)
-            });
-            match found {
-                Some(i) => i,
-                None => {
-                    self.groups.push(Group {
-                        keys: keys.clone(),
-                        values: vec![Vec::new(); agg_count],
-                        seen: 0,
-                    });
-                    self.groups.len() - 1
-                }
-            }
-        };
-        let group = &mut self.groups[idx];
+        let group = self.group_of(&keys);
+        let group = &mut self.groups[group];
         group.seen += 1;
-        for (i, (col, _)) in self.agg.columns.iter().enumerate() {
+        for ((col, _), acc) in self.agg.columns.iter().zip(&mut group.accs) {
             if let AggColumn::Agg { arg: Some(arg), .. } = col {
                 let v = arg.eval(row.values(), params)?;
                 if !v.is_null() {
-                    group.values[i].push(v);
+                    acc.add(v);
                 }
             }
         }
@@ -773,131 +808,67 @@ impl<'p> Aggregator<'p> {
         );
     }
 
-    /// Push one row whose key and argument expressions were already
-    /// evaluated (the vectorized sink's entry). Grouping, first-appearance
-    /// order, and null-skipping match [`Aggregator::push`] exactly; the
-    /// caller books the charge via [`Aggregator::charge_batch`].
-    pub(crate) fn push_evaled(&mut self, keys: Vec<Value>, args: Vec<Option<Value>>) {
-        let agg_count = self.agg.columns.len();
-        let idx = if self.hashed {
-            let hkey: Vec<ValueKey> = keys.iter().map(Value::group_key).collect();
-            match self.lookup.entry(hkey) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    self.groups.push(Group {
-                        keys: keys.clone(),
-                        values: vec![Vec::new(); agg_count],
-                        seen: 0,
-                    });
-                    *e.insert(self.groups.len() - 1)
-                }
-            }
+    /// Fold `rows` rows whose key and argument columns were already
+    /// evaluated (the vectorized sink's entry; `args` holds `None` for
+    /// columns without an argument). Grouping, first-appearance order and
+    /// NULL-skipping match [`Aggregator::push`] exactly; the caller books
+    /// the charge via [`Aggregator::charge_batch`].
+    pub(crate) fn push_cols(&mut self, keys: &[VCol], args: &[Option<VCol>], rows: usize) {
+        if rows == 0 {
+            return;
+        }
+        // Find every row's group first, then fold each argument column
+        // into its accumulators in one pass.
+        let mut groups = Vec::with_capacity(rows);
+        if keys.is_empty() {
+            let g = self.group_of(&[]);
+            self.groups[g].seen += rows as u64;
+            groups.resize(rows, g);
         } else {
-            let found = self.groups.iter().position(|g| {
-                g.keys
-                    .iter()
-                    .zip(&keys)
-                    .all(|(a, b)| a.index_cmp(b) == std::cmp::Ordering::Equal)
-            });
-            match found {
-                Some(i) => i,
-                None => {
-                    self.groups.push(Group {
-                        keys: keys.clone(),
-                        values: vec![Vec::new(); agg_count],
-                        seen: 0,
-                    });
-                    self.groups.len() - 1
-                }
+            let mut key = Vec::with_capacity(keys.len());
+            for i in 0..rows {
+                key.clear();
+                key.extend(keys.iter().map(|k| k.value_at(i)));
+                let g = self.group_of(&key);
+                self.groups[g].seen += 1;
+                groups.push(g);
             }
-        };
-        let group = &mut self.groups[idx];
-        group.seen += 1;
-        for (i, v) in args.into_iter().enumerate() {
-            if let Some(v) = v {
-                if !v.is_null() {
-                    group.values[i].push(v);
+        }
+        for (c, arg) in args.iter().enumerate() {
+            if let Some(arg) = arg {
+                for (i, &g) in groups.iter().enumerate() {
+                    let v = arg.value_at(i);
+                    if !v.is_null() {
+                        self.groups[g].accs[c].add(v);
+                    }
                 }
             }
         }
     }
 
     pub(crate) fn finish(mut self, meter: &mut Meter) -> FedResult<Table> {
-        let agg_count = self.agg.columns.len();
         // Global aggregation over zero rows still yields one (empty) group.
         if self.groups.is_empty() && self.agg.keys.is_empty() {
             self.groups.push(Group {
                 keys: vec![],
-                values: vec![Vec::new(); agg_count],
+                accs: self.fresh.clone(),
                 seen: 0,
             });
         }
 
         let mut out = Table::new(self.plan.out_schema.clone());
         for group in &self.groups {
-            let mut values = Vec::with_capacity(agg_count);
-            for (i, ((col, _), schema_col)) in self
+            let mut values = Vec::with_capacity(group.accs.len());
+            for (((col, _), acc), schema_col) in self
                 .agg
                 .columns
                 .iter()
+                .zip(&group.accs)
                 .zip(self.plan.out_schema.columns())
-                .enumerate()
             {
                 let v = match col {
                     AggColumn::Key(k) => group.keys[*k].clone(),
-                    AggColumn::Agg { f, arg } => {
-                        let collected = &group.values[i];
-                        match f {
-                            AggFn::Count => match arg {
-                                None => Value::BigInt(group.seen as i64),
-                                Some(_) => Value::BigInt(collected.len() as i64),
-                            },
-                            AggFn::Sum | AggFn::Avg => {
-                                if collected.is_empty() {
-                                    Value::Null
-                                } else {
-                                    match (f, schema_col.data_type) {
-                                        (AggFn::Avg, _) => {
-                                            let as_f: f64 =
-                                                collected.iter().filter_map(Value::as_f64).sum();
-                                            Value::Double(as_f / collected.len() as f64)
-                                        }
-                                        (_, DataType::Double) => {
-                                            let as_f: f64 =
-                                                collected.iter().filter_map(Value::as_f64).sum();
-                                            Value::Double(as_f)
-                                        }
-                                        _ => {
-                                            let mut acc: i64 = 0;
-                                            for v in collected.iter().filter_map(Value::as_i64) {
-                                                acc = acc.checked_add(v).ok_or_else(|| {
-                                                    FedError::execution("SUM overflow")
-                                                })?;
-                                            }
-                                            Value::BigInt(acc)
-                                        }
-                                    }
-                                }
-                            }
-                            AggFn::Min | AggFn::Max => collected
-                                .iter()
-                                .cloned()
-                                .reduce(|a, b| {
-                                    let keep_a = match f {
-                                        AggFn::Min => {
-                                            a.index_cmp(&b) != std::cmp::Ordering::Greater
-                                        }
-                                        _ => a.index_cmp(&b) != std::cmp::Ordering::Less,
-                                    };
-                                    if keep_a {
-                                        a
-                                    } else {
-                                        b
-                                    }
-                                })
-                                .unwrap_or(Value::Null),
-                        }
-                    }
+                    AggColumn::Agg { .. } => acc.result(group.seen)?,
                 };
                 values.push(coerce_agg(v, schema_col.data_type)?);
             }
@@ -955,9 +926,10 @@ pub(crate) fn cross(prefix: Vec<Row>, rows: &[Row]) -> Vec<Row> {
 // Streaming executor
 // ---------------------------------------------------------------------------
 
-/// Where streaming batches come from: a bounded cursor over the leading
-/// local scan when it has no join key, or the single seed row otherwise
-/// (operators then cover every step including the first).
+/// Where streaming batches come from: a bounded cursor over a leading local
+/// scan, the eagerly fetched rows of a leading foreign scan (one batch, as
+/// the wrapper returned it), or the single seed row when step 0 does not
+/// lead (operators then cover every step including the first).
 enum Source<'p> {
     Rows(Option<Vec<Row>>),
     Chunked {
@@ -1028,17 +1000,7 @@ impl Source<'_> {
 /// composition, index-probe scans) are deferred to [`Op::finish`] so they
 /// match the materializing paths' single-record formulas.
 pub(crate) enum Op<'p> {
-    HashJoin {
-        build_rows: Vec<Row>,
-        /// Build columns translated into the (possibly pruned) build layout.
-        build_cols: Vec<usize>,
-        probe: &'p [BoundExpr],
-        /// Lazily built on the first non-empty probe batch, mirroring the
-        /// materializing hash join's empty-input short-circuit: build keys
-        /// are never evaluated when no probe row arrives.
-        table: Option<HashMap<Vec<ValueKey>, Vec<usize>>>,
-        out_count: usize,
-    },
+    HashJoin(HashJoin<'p>),
     IndexProbe {
         table: &'p Ident,
         pushdown: &'p Predicate,
@@ -1077,40 +1039,7 @@ impl Op<'_> {
         meter: &mut Meter,
     ) -> FedResult<Vec<Row>> {
         match self {
-            Op::HashJoin {
-                build_rows,
-                build_cols,
-                probe,
-                table,
-                out_count,
-            } => {
-                if batch.is_empty() || build_rows.is_empty() {
-                    return Ok(Vec::new());
-                }
-                if table.is_none() {
-                    let mut t: HashMap<Vec<ValueKey>, Vec<usize>> = HashMap::new();
-                    for (i, row) in build_rows.iter().enumerate() {
-                        if let Some(key) = build_key(row, build_cols)? {
-                            t.entry(key).or_default().push(i);
-                        }
-                    }
-                    *table = Some(t);
-                }
-                let t = table.as_ref().expect("hash table built above");
-                let mut out = Vec::new();
-                for left in &batch {
-                    let Some(key) = probe_key(left, probe, params)? else {
-                        continue;
-                    };
-                    if let Some(matches) = t.get(&key) {
-                        for &i in matches {
-                            out.push(left.concat(&build_rows[i]));
-                        }
-                    }
-                }
-                *out_count += out.len();
-                Ok(out)
-            }
+            Op::HashJoin(join) => join.push_rows(batch, params),
             Op::IndexProbe {
                 table,
                 pushdown,
@@ -1208,11 +1137,7 @@ impl Op<'_> {
     /// materializing paths exactly.
     pub(crate) fn finish(&self, cost: &CostModel, meter: &mut Meter) {
         match self {
-            Op::HashJoin {
-                build_rows,
-                out_count,
-                ..
-            } => charge_join(meter, cost, build_rows.len() + out_count),
+            Op::HashJoin(join) => join.finish(cost, meter),
             Op::IndexProbe {
                 scanned_total,
                 out_count,
@@ -1324,18 +1249,17 @@ impl StreamProbe {
 }
 
 /// Planner row estimates for the streaming operator chain, parallel to the
-/// `ops` vector both streaming executors build: each step contributes its
-/// composed (`join_rows`) estimate, its residual filter (when present) the
-/// post-filter `out_rows`. The chunked source covers step 0's scan itself,
-/// so `start` skips it and only its filter op (if any) leads the chain.
-pub(crate) fn op_estimates(plan: &Plan, chunk_step0: bool, start: usize) -> Vec<Option<f64>> {
+/// `ops` vector [`prepare_ops`] builds: each step contributes its composed
+/// (`join_rows`) estimate, its residual filter (when present) the
+/// post-filter `out_rows`. A leading scan is the source itself, so only
+/// its filter op (if any) leads the chain.
+fn op_estimates(plan: &Plan, leads: bool) -> Vec<Option<f64>> {
     let est = |i: usize| plan.step_estimates.get(i);
     let mut out = Vec::new();
-    if chunk_step0 && plan.step_filters[0].is_some() {
-        out.push(est(0).map(|e| e.out_rows));
-    }
-    for i in start..plan.steps.len() {
-        out.push(est(i).map(|e| e.join_rows));
+    for i in 0..plan.steps.len() {
+        if i > 0 || !leads {
+            out.push(est(i).map(|e| e.join_rows));
+        }
         if plan.step_filters[i].is_some() {
             out.push(est(i).map(|e| e.out_rows));
         }
@@ -1351,9 +1275,47 @@ pub(crate) struct StreamProbes {
     pub(crate) sink: StreamProbe,
 }
 
+impl StreamProbes {
+    /// Probes named after the stages — `scan <table>` for a leading scan
+    /// (carrying the planner's scan estimate), `seed` otherwise — starting
+    /// at the current virtual time.
+    pub(crate) fn new(
+        plan: &Plan,
+        leads: bool,
+        ops: &[Op<'_>],
+        sink: &Sink<'_>,
+        meter: &Meter,
+    ) -> StreamProbes {
+        let scanned = match plan.steps.first() {
+            Some(FromStep::ScanLocal { table, .. }) if leads => Some(table),
+            Some(FromStep::ScanForeign { catalog_name, .. }) if leads => Some(catalog_name),
+            _ => None,
+        };
+        let source = match scanned {
+            Some(table) => StreamProbe::new(SpanName::from(format!("scan {table}")))
+                .with_est(plan.step_estimates.first().map(|e| e.scan_rows)),
+            None => StreamProbe::new(SpanName::Static("seed")),
+        };
+        StreamProbes {
+            start_us: meter.now_us(),
+            source,
+            ops: ops
+                .iter()
+                .zip(op_estimates(plan, leads))
+                .map(|(op, est)| StreamProbe::new(op_probe_name(op)).with_est(est))
+                .collect(),
+            sink: StreamProbe::new(match sink {
+                Sink::Aggregate(_) => "aggregate",
+                Sink::Sort(_) => "sort",
+                Sink::Project { .. } => "project",
+            }),
+        }
+    }
+}
+
 pub(crate) fn op_probe_name(op: &Op<'_>) -> SpanName {
     match op {
-        Op::HashJoin { .. } => SpanName::Static("hash-join"),
+        Op::HashJoin(_) => SpanName::Static("hash-join"),
         Op::IndexProbe { table, .. } => SpanName::from(format!("index-probe {table}")),
         Op::Cross { .. } => SpanName::Static("cross"),
         Op::DependentUdtf { udtf, .. } => SpanName::from(format!("dependent-udtf {}", udtf.name)),
@@ -1380,92 +1342,41 @@ fn execute_streaming(
 ) -> FedResult<Table> {
     let cost = fdbs.cost();
 
-    // Source: stream the leading local scan in bounded chunks when nothing
-    // joins it back to the (empty) seed row; otherwise start from the seed
-    // and let the operators cover every step.
-    let chunk_step0 = matches!(plan.steps.first(), Some(FromStep::ScanLocal { .. }))
-        && plan.step_join_keys.first().is_some_and(|jk| jk.is_none());
-    let (mut source, start) = if chunk_step0 {
-        let Some(FromStep::ScanLocal {
+    // Source: a leading local scan streams in bounded chunks; a leading
+    // foreign scan enters as the rows the wrapper sent back; otherwise the
+    // seed row starts the chain and the operators cover every step.
+    let leads = scan_leads(plan);
+    let mut source = match plan.steps.first() {
+        Some(FromStep::ScanLocal {
             table, pushdown, ..
-        }) = plan.steps.first()
-        else {
-            unreachable!("checked above");
-        };
-        let projection = plan.step_projections.first().and_then(|p| p.as_deref());
-        (
-            Source::Chunked {
-                table,
-                pushdown,
-                projection,
-                next: None,
-                started: false,
-                matched: 0,
-                epoch: None,
-            },
-            1,
-        )
-    } else {
-        (Source::Rows(Some(vec![Row::empty()])), 0)
+        }) if leads => Source::Chunked {
+            table,
+            pushdown,
+            projection: plan.step_projections.first().and_then(|p| p.as_deref()),
+            next: None,
+            started: false,
+            matched: 0,
+            epoch: None,
+        },
+        Some(step @ FromStep::ScanForeign { .. }) if leads => {
+            let proj = plan.step_projections.first().and_then(|p| p.as_deref());
+            let rows =
+                scan_step_rows(fdbs, step, proj, meter).context(from_item_context(0, step))?;
+            Source::Rows(Some(rows))
+        }
+        _ => Source::Rows(Some(vec![Row::empty()])),
     };
 
     // Prepare the operator chain. Build sides, foreign result sets, and
     // independent UDTF results are produced (and their charges booked)
     // eagerly, exactly as the materializing paths do even over an empty
     // prefix.
-    let mut ops: Vec<Op<'_>> = Vec::new();
-    if chunk_step0 {
-        if let Some(filter) = &plan.step_filters[0] {
-            ops.push(Op::Filter { filter });
-        }
-    }
-    for (i, step) in plan.steps.iter().enumerate().skip(start) {
-        let jk = plan.step_join_keys[i].as_ref();
-        let proj = plan.step_projections.get(i).and_then(|p| p.as_deref());
-        let access = plan.step_access.get(i).copied().unwrap_or_default();
-        let op = prepare_step_op(fdbs, step, i, jk, proj, access, params, meter)
-            .context(format!("evaluating FROM item {} ({step:?})", i + 1))?;
-        ops.push(op);
-        if let Some(filter) = &plan.step_filters[i] {
-            ops.push(Op::Filter { filter });
-        }
-    }
+    let mut ops = prepare_ops(fdbs, plan, params, meter, leads, prepare_step_op)?;
+    let mut sink = new_sink(plan, cost);
 
-    let mut sink = if let Some(agg) = &plan.aggregate {
-        Sink::Aggregate(Aggregator::new(plan, agg, cost, true))
-    } else if !plan.order_by.is_empty() {
-        Sink::Sort(Vec::new())
-    } else {
-        Sink::Project {
-            out: Table::new(plan.out_schema.clone()),
-            seen: plan.distinct.then(HashSet::new),
-        }
-    };
-
-    let mut probes = meter.tracing().then(|| StreamProbes {
-        start_us: meter.now_us(),
-        source: StreamProbe::new(match &source {
-            Source::Chunked { table, .. } => SpanName::from(format!("scan {table}")),
-            Source::Rows(_) => SpanName::Static("seed"),
-        })
-        .with_est(match &source {
-            Source::Chunked { .. } => plan.step_estimates.first().map(|e| e.scan_rows),
-            Source::Rows(_) => None,
-        }),
-        ops: ops
-            .iter()
-            .zip(op_estimates(plan, chunk_step0, start))
-            .map(|(op, est)| StreamProbe::new(op_probe_name(op)).with_est(est))
-            .collect(),
-        sink: StreamProbe::new(
-            match &sink {
-                Sink::Aggregate(_) => "aggregate",
-                Sink::Sort(_) => "sort",
-                Sink::Project { .. } => "project",
-            }
-            .to_string(),
-        ),
-    });
+    let mut probes = meter
+        .tracing()
+        .then(|| StreamProbes::new(plan, leads, &ops, &sink, meter));
     let tracing = probes.is_some();
     let wall = tracing && meter.wall_sampling();
 
@@ -1512,6 +1423,93 @@ fn execute_streaming(
     if let Some(p) = probes.as_mut() {
         p.source.virt_us += meter.now_us() - v0;
     }
+    finish_pipeline(fdbs, plan, &ops, probes, sink, params, meter)
+}
+
+/// Whether step 0 is a scan nothing joins back to the seed row. It then
+/// becomes the pipeline source itself — chunked for a local table, one
+/// batch for a foreign one — instead of an operator over the seed.
+pub(crate) fn scan_leads(plan: &Plan) -> bool {
+    matches!(
+        plan.steps.first(),
+        Some(FromStep::ScanLocal { .. } | FromStep::ScanForeign { .. })
+    ) && plan.step_join_keys.first().is_some_and(|jk| jk.is_none())
+}
+
+/// The error context of FROM item `i`.
+pub(crate) fn from_item_context(i: usize, step: &FromStep) -> String {
+    format!("evaluating FROM item {} ({step:?})", i + 1)
+}
+
+/// One executor's per-step operator constructor.
+pub(crate) type PrepareStep = for<'p> fn(
+    &Fdbs,
+    &'p FromStep,
+    usize,
+    Option<&'p JoinKey>,
+    Option<&'p [usize]>,
+    Access,
+    &[Value],
+    &mut Meter,
+) -> FedResult<Op<'p>>;
+
+/// The operator chain of a streaming pipeline, in step order: every step
+/// after the source through `prepare`, each followed by its residual
+/// filter. A leading scan is the source, so only its filter is an
+/// operator.
+pub(crate) fn prepare_ops<'p>(
+    fdbs: &Fdbs,
+    plan: &'p Plan,
+    params: &[Value],
+    meter: &mut Meter,
+    leads: bool,
+    prepare: PrepareStep,
+) -> FedResult<Vec<Op<'p>>> {
+    let mut ops = Vec::new();
+    for (i, step) in plan.steps.iter().enumerate() {
+        if i > 0 || !leads {
+            let jk = plan.step_join_keys[i].as_ref();
+            let proj = plan.step_projections.get(i).and_then(|p| p.as_deref());
+            let access = plan.step_access.get(i).copied().unwrap_or_default();
+            let op = prepare(fdbs, step, i, jk, proj, access, params, meter)
+                .context(from_item_context(i, step))?;
+            ops.push(op);
+        }
+        if let Some(filter) = &plan.step_filters[i] {
+            ops.push(Op::Filter { filter });
+        }
+    }
+    Ok(ops)
+}
+
+/// The sink a plan's tail needs: aggregation, a sort buffer, or the
+/// streaming projection (with inline DISTINCT).
+pub(crate) fn new_sink<'p>(plan: &'p Plan, cost: &CostModel) -> Sink<'p> {
+    if let Some(agg) = &plan.aggregate {
+        Sink::Aggregate(Aggregator::new(plan, agg, cost, true))
+    } else if !plan.order_by.is_empty() {
+        Sink::Sort(Vec::new())
+    } else {
+        Sink::Project {
+            out: Table::new(plan.out_schema.clone()),
+            seen: plan.distinct.then(HashSet::new),
+        }
+    }
+}
+
+/// Drain a pipeline whose source ran dry (or hit LIMIT): book the
+/// operators' deferred charges, emit one leaf span per stage, and finish
+/// the sink into the result table.
+pub(crate) fn finish_pipeline(
+    fdbs: &Fdbs,
+    plan: &Plan,
+    ops: &[Op<'_>],
+    mut probes: Option<StreamProbes>,
+    sink: Sink<'_>,
+    params: &[Value],
+    meter: &mut Meter,
+) -> FedResult<Table> {
+    let cost = fdbs.cost();
     for (i, op) in ops.iter().enumerate() {
         let v0 = meter.now_us();
         op.finish(cost, meter);
@@ -1522,7 +1520,7 @@ fn execute_streaming(
 
     // Emit one leaf span per pipeline stage, source to sink, under the
     // enclosing `fdbs.execute` span.
-    if let Some(p) = probes.take() {
+    if let Some(p) = probes {
         let start = p.start_us;
         meter.span_leaf(p.source.into_leaf(start));
         for op_probe in p.ops {
@@ -1559,15 +1557,18 @@ pub(crate) fn prepare_step_op<'p>(
     params: &[Value],
     meter: &mut Meter,
 ) -> FedResult<Op<'p>> {
-    let cost = fdbs.cost();
     match step {
-        FromStep::ScanLocal {
-            table,
-            pushdown,
-            schema,
-            ..
-        } => {
-            if let Some(jk) = jk {
+        FromStep::ScanLocal { .. } | FromStep::ScanForeign { .. } => {
+            if let (
+                FromStep::ScanLocal {
+                    table,
+                    pushdown,
+                    schema,
+                    ..
+                },
+                Some(jk),
+            ) = (step, jk)
+            {
                 if use_index_probe(fdbs, table, schema, jk, access)? {
                     return Ok(Op::IndexProbe {
                         table,
@@ -1580,71 +1581,9 @@ pub(crate) fn prepare_step_op<'p>(
                         out_count: 0,
                     });
                 }
-                let scanned =
-                    fdbs.catalog()
-                        .local()
-                        .scan_project(table.as_str(), pushdown, proj)?;
-                meter.charge(
-                    Component::Fdbs,
-                    "Scan local table",
-                    cost.predicate_eval * scanned.row_count() as u64,
-                );
-                let build_cols = build_positions(&jk.build, proj)?;
-                let rows = scanned.into_rows();
-                tally_rows(meter, &rows);
-                return Ok(Op::HashJoin {
-                    build_rows: rows,
-                    build_cols,
-                    probe: &jk.probe,
-                    table: None,
-                    out_count: 0,
-                });
             }
-            let scanned = fdbs
-                .catalog()
-                .local()
-                .scan_project(table.as_str(), pushdown, proj)?;
-            meter.charge(
-                Component::Fdbs,
-                "Scan local table",
-                cost.predicate_eval * scanned.row_count() as u64,
-            );
-            let rows = scanned.into_rows();
-            tally_rows(meter, &rows);
-            Ok(Op::Cross {
-                right: rows,
-                charge_select: false,
-                prefix_rows: 0,
-            })
-        }
-        FromStep::ScanForeign {
-            server,
-            remote_name,
-            pushdown,
-            ..
-        } => {
-            let scanned = server.scan_project(remote_name, pushdown, proj)?;
-            meter.charge(
-                Component::Fdbs,
-                format!("Subquery to SQL source {}", server.name()),
-                cost.rmi_call + cost.rmi_return,
-            );
-            let rows = scanned.into_rows();
-            tally_rows(meter, &rows);
-            match jk {
-                Some(jk) => Ok(Op::HashJoin {
-                    build_cols: build_positions(&jk.build, proj)?,
-                    build_rows: rows,
-                    probe: &jk.probe,
-                    table: None,
-                    out_count: 0,
-                }),
-                None => Ok(Op::Cross {
-                    right: rows,
-                    charge_select: false,
-                    prefix_rows: 0,
-                }),
-            }
+            let rows = scan_step_rows(fdbs, step, proj, meter)?;
+            join_op(BuildSide::Rows(rows), jk, proj)
         }
         FromStep::TableFunc {
             udtf,
@@ -1661,13 +1600,7 @@ pub(crate) fn prepare_step_op<'p>(
                 let rows = pruned_rows(&result, proj);
                 tally_rows(meter, &rows);
                 match jk {
-                    Some(jk) => Ok(Op::HashJoin {
-                        build_cols: build_positions(&jk.build, proj)?,
-                        build_rows: rows,
-                        probe: &jk.probe,
-                        table: None,
-                        out_count: 0,
-                    }),
+                    Some(_) => join_op(BuildSide::Rows(rows), jk, proj),
                     None => Ok(Op::Cross {
                         right: rows,
                         charge_select: position > 0,
@@ -1685,6 +1618,71 @@ pub(crate) fn prepare_step_op<'p>(
             }
         }
     }
+}
+
+/// Scan one local or foreign step eagerly: fetch its (pruned) rows, book
+/// the scan charge, and tally the rows as materialized.
+pub(crate) fn scan_step_rows(
+    fdbs: &Fdbs,
+    step: &FromStep,
+    proj: Option<&[usize]>,
+    meter: &mut Meter,
+) -> FedResult<Vec<Row>> {
+    let cost = fdbs.cost();
+    let rows = match step {
+        FromStep::ScanLocal {
+            table, pushdown, ..
+        } => {
+            let scanned = fdbs
+                .catalog()
+                .local()
+                .scan_project(table.as_str(), pushdown, proj)?;
+            meter.charge(
+                Component::Fdbs,
+                "Scan local table",
+                cost.predicate_eval * scanned.row_count() as u64,
+            );
+            scanned.into_rows()
+        }
+        FromStep::ScanForeign {
+            server,
+            remote_name,
+            pushdown,
+            ..
+        } => {
+            let scanned = server.scan_project(remote_name, pushdown, proj)?;
+            meter.charge(
+                Component::Fdbs,
+                format!("Subquery to SQL source {}", server.name()),
+                cost.rmi_call + cost.rmi_return,
+            );
+            scanned.into_rows()
+        }
+        FromStep::TableFunc { .. } => unreachable!("only scan steps are scanned"),
+    };
+    tally_rows(meter, &rows);
+    Ok(rows)
+}
+
+/// The operator composing an eagerly produced step with its prefix: a
+/// hash join on the step's join key, a cross product without one.
+pub(crate) fn join_op<'p>(
+    build: BuildSide,
+    jk: Option<&'p JoinKey>,
+    proj: Option<&[usize]>,
+) -> FedResult<Op<'p>> {
+    Ok(match jk {
+        Some(jk) => Op::HashJoin(HashJoin::new(
+            build,
+            build_positions(&jk.build, proj)?,
+            &jk.probe,
+        )),
+        None => Op::Cross {
+            right: build.into_rows(),
+            charge_select: false,
+            prefix_rows: 0,
+        },
+    })
 }
 
 /// Feed one batch to the sink. Returns `true` when the sink is satisfied
@@ -1936,6 +1934,96 @@ mod tests {
         for mode in [ExecMode::JoinAware, ExecMode::Naive] {
             let err = aggregate_rows(&fdbs, &plan, &agg, &rows, &[], &mut meter, mode).unwrap_err();
             assert!(err.to_string().contains("SUM overflow"), "{err}");
+        }
+    }
+
+    /// The aggregate functions as the executor used to evaluate them: over
+    /// the whole collected list of non-NULL arguments.
+    fn collected_list_result(f: AggFn, out: DataType, vals: &[Value]) -> FedResult<Value> {
+        Ok(match f {
+            AggFn::Count => Value::BigInt(vals.len() as i64),
+            AggFn::Sum | AggFn::Avg if vals.is_empty() => Value::Null,
+            AggFn::Avg => {
+                let sum: f64 = vals.iter().filter_map(Value::as_f64).sum();
+                Value::Double(sum / vals.len() as f64)
+            }
+            AggFn::Sum if out == DataType::Double => {
+                Value::Double(vals.iter().filter_map(Value::as_f64).sum())
+            }
+            AggFn::Sum => {
+                let mut acc: i64 = 0;
+                for v in vals.iter().filter_map(Value::as_i64) {
+                    acc = acc
+                        .checked_add(v)
+                        .ok_or_else(|| FedError::execution("SUM overflow"))?;
+                }
+                Value::BigInt(acc)
+            }
+            AggFn::Min | AggFn::Max => vals
+                .iter()
+                .cloned()
+                .reduce(|a, b| {
+                    let keep_a = match f {
+                        AggFn::Min => a.index_cmp(&b) != Ordering::Greater,
+                        _ => a.index_cmp(&b) != Ordering::Less,
+                    };
+                    if keep_a {
+                        a
+                    } else {
+                        b
+                    }
+                })
+                .unwrap_or(Value::Null),
+        })
+    }
+
+    /// Running accumulators fold to exactly what evaluating over the
+    /// collected list gave — bit for bit (-0.0, NaN, infinity), the first
+    /// of `index_cmp`-equal MIN/MAX candidates, the overflow error.
+    #[test]
+    fn accumulators_match_collected_list_evaluation() {
+        let pool = [
+            Value::Int(3),
+            Value::Int(-7),
+            Value::BigInt(i64::MAX - 1),
+            Value::BigInt(i64::MIN + 1),
+            Value::Double(-0.0),
+            Value::Double(0.0),
+            Value::Double(1.7e308),
+            Value::Double(-1.7e308),
+            Value::Double(f64::NAN),
+            Value::Double(2.5),
+            Value::BigInt(3),
+            Value::str("x"),
+        ];
+        let cases = [
+            (AggFn::Count, DataType::BigInt),
+            (AggFn::Sum, DataType::BigInt),
+            (AggFn::Sum, DataType::Double),
+            (AggFn::Avg, DataType::Double),
+            (AggFn::Min, DataType::Double),
+            (AggFn::Max, DataType::Double),
+        ];
+        let mut rng = fedwf_types::rng::Rng::seed_from_u64(7);
+        for _ in 0..2_000 {
+            let n = rng.range_usize(0, 6);
+            let vals: Vec<Value> = (0..n).map(|_| rng.pick(&pool).clone()).collect();
+            for (f, out) in cases {
+                let col = AggColumn::Agg {
+                    f,
+                    arg: Some(BoundExpr::Literal(Value::Null)),
+                };
+                let mut acc = Acc::new(&col, out);
+                for v in &vals {
+                    acc.add(v.clone());
+                }
+                let want = collected_list_result(f, out, &vals);
+                assert_eq!(
+                    format!("{:?}", acc.result(n as u64)),
+                    format!("{want:?}"),
+                    "{f:?} into {out} over {vals:?}"
+                );
+            }
         }
     }
 }

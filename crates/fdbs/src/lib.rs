@@ -62,6 +62,7 @@ pub mod catalog;
 pub mod engine;
 pub mod exec;
 pub mod expr;
+pub(crate) mod hashjoin;
 pub mod optimizer;
 pub mod plan;
 pub mod sqlmed;

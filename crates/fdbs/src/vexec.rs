@@ -6,8 +6,10 @@
 //! snapshot epoch), residual filters evaluate predicates into selection
 //! vectors ([`crate::vexpr`]), hash-join and index probes hash join keys
 //! over column slices, and the sinks aggregate/project over typed vectors.
-//! Rows materialize only where they must: at pipeline breakers (build
-//! sides, sort buffers, UDTF compositions) and at the client boundary.
+//! Rows materialize only where they must: at pipeline breakers that store
+//! rows (sort buffers, cross products, UDTF compositions) and at the client
+//! boundary. A leading foreign scan is the source's one columnar batch, and
+//! hash-join build sides stay columnar ([`crate::hashjoin`]).
 //!
 //! Parity contract with the row-at-a-time streaming path (which stays
 //! callable via [`crate::engine::ExecOptions::vectorized`]):
@@ -27,20 +29,19 @@
 //!   would not raise.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 use fedwf_relstore::{Predicate, RowId};
-use fedwf_sim::{Component, CostModel, Meter, SpanName};
-use fedwf_types::{ColumnBatch, FedResult, Ident, ResultExt, Row, Table, TxnId, Value, ValueKey};
+use fedwf_sim::{Component, CostModel, Meter};
+use fedwf_types::{ColumnBatch, FedResult, Ident, ResultExt, Row, Table, TxnId, Value};
 
 use crate::engine::Fdbs;
 use crate::exec::{
-    build_key, build_positions, elapsed_ns, finish_aggregate, join_key_checked, op_estimates,
-    op_probe_name, prepare_step_op, probe_mark, scalar_tail, sink_push, table_from_rows,
-    tally_rows, use_index_probe, Aggregator, ExecMode, Op, Sink, StreamProbe, StreamProbes,
-    STREAM_BATCH_ROWS,
+    elapsed_ns, finish_pipeline, from_item_context, join_key_checked, join_op, new_sink,
+    prepare_ops, prepare_step_op, probe_mark, scan_leads, sink_push, tally_rows, use_index_probe,
+    Op, Sink, StreamProbes, STREAM_BATCH_ROWS,
 };
 use crate::expr::BoundExpr;
+use crate::hashjoin::BuildSide;
 use crate::plan::{Access, AggColumn, FromStep, Plan};
 use crate::vexpr::{eval_filter_mask, eval_vcol, VCol};
 
@@ -102,9 +103,10 @@ pub(crate) fn tally_batch(meter: &mut Meter, batch: &ColumnBatch) {
 }
 
 /// The columnar batch source — mirrors `exec::Source` including the
-/// deferred scan charge and the snapshot epoch pinned at first pull.
+/// deferred scan charge and the snapshot epoch pinned at first pull. A
+/// leading foreign scan is one columnar batch, the seed one row.
 enum VSource<'p> {
-    Rows(Option<Vec<Row>>),
+    Batch(Option<VBatch>),
     Chunked {
         table: &'p Ident,
         pushdown: &'p Predicate,
@@ -119,7 +121,7 @@ enum VSource<'p> {
 impl VSource<'_> {
     fn next_batch(&mut self, fdbs: &Fdbs) -> FedResult<Option<VBatch>> {
         match self {
-            VSource::Rows(batch) => Ok(batch.take().map(VBatch::Rows)),
+            VSource::Batch(batch) => Ok(batch.take()),
             VSource::Chunked {
                 table,
                 pushdown,
@@ -162,61 +164,19 @@ impl VSource<'_> {
     }
 }
 
-/// Build the streaming operator for one lateral step with columnar eager
-/// work: local and foreign build sides cross the storage / SQL-MED
-/// boundary as column batches (tallied in column bytes) and materialize
-/// to rows only because they *are* pipeline-breaker state. Steps with no
-/// columnar advantage delegate to the row path's [`prepare_step_op`].
-#[allow(clippy::too_many_arguments)]
-fn prepare_step_op_vectorized<'p>(
+/// Scan one local or foreign step eagerly as a column batch: the columnar
+/// counterpart of [`scan_step_rows`], same charge, tallied in column bytes.
+fn scan_step_cols(
     fdbs: &Fdbs,
-    step: &'p FromStep,
-    position: usize,
-    jk: Option<&'p crate::plan::JoinKey>,
-    proj: Option<&'p [usize]>,
-    access: Access,
-    params: &[Value],
+    step: &FromStep,
+    proj: Option<&[usize]>,
     meter: &mut Meter,
-) -> FedResult<Op<'p>> {
+) -> FedResult<ColumnBatch> {
     let cost = fdbs.cost();
-    match step {
+    let batch = match step {
         FromStep::ScanLocal {
-            table,
-            pushdown,
-            schema,
-            ..
+            table, pushdown, ..
         } => {
-            if let Some(jk) = jk {
-                if use_index_probe(fdbs, table, schema, jk, access)? {
-                    return prepare_step_op(
-                        fdbs,
-                        step,
-                        position,
-                        Some(jk),
-                        proj,
-                        access,
-                        params,
-                        meter,
-                    );
-                }
-                let batch =
-                    fdbs.catalog()
-                        .local()
-                        .scan_project_columnar(table.as_str(), pushdown, proj)?;
-                meter.charge(
-                    Component::Fdbs,
-                    "Scan local table",
-                    cost.predicate_eval * batch.len() as u64,
-                );
-                tally_batch(meter, &batch);
-                return Ok(Op::HashJoin {
-                    build_rows: batch.to_rows(),
-                    build_cols: build_positions(&jk.build, proj)?,
-                    probe: &jk.probe,
-                    table: None,
-                    out_count: 0,
-                });
-            }
             let batch =
                 fdbs.catalog()
                     .local()
@@ -226,12 +186,7 @@ fn prepare_step_op_vectorized<'p>(
                 "Scan local table",
                 cost.predicate_eval * batch.len() as u64,
             );
-            tally_batch(meter, &batch);
-            Ok(Op::Cross {
-                right: batch.to_rows(),
-                charge_select: false,
-                prefix_rows: 0,
-            })
+            batch
         }
         FromStep::ScanForeign {
             server,
@@ -247,27 +202,42 @@ fn prepare_step_op_vectorized<'p>(
                 format!("Subquery to SQL source {}", server.name()),
                 cost.rmi_call + cost.rmi_return,
             );
-            tally_batch(meter, &batch);
-            let rows = batch.to_rows();
-            match jk {
-                Some(jk) => Ok(Op::HashJoin {
-                    build_cols: build_positions(&jk.build, proj)?,
-                    build_rows: rows,
-                    probe: &jk.probe,
-                    table: None,
-                    out_count: 0,
-                }),
-                None => Ok(Op::Cross {
-                    right: rows,
-                    charge_select: false,
-                    prefix_rows: 0,
-                }),
-            }
+            batch
         }
-        FromStep::TableFunc { .. } => {
-            prepare_step_op(fdbs, step, position, jk, proj, access, params, meter)
+        FromStep::TableFunc { .. } => unreachable!("only scan steps are scanned"),
+    };
+    tally_batch(meter, &batch);
+    Ok(batch)
+}
+
+/// Build the streaming operator for one lateral step with columnar eager
+/// work: local and foreign scans cross the storage / SQL-MED boundary as
+/// column batches, and a hash join keeps its build side in columns. Steps
+/// with no columnar advantage (index probes, table functions) delegate to
+/// the row path's [`prepare_step_op`].
+#[allow(clippy::too_many_arguments)]
+fn prepare_step_op_vectorized<'p>(
+    fdbs: &Fdbs,
+    step: &'p FromStep,
+    position: usize,
+    jk: Option<&'p crate::plan::JoinKey>,
+    proj: Option<&'p [usize]>,
+    access: Access,
+    params: &[Value],
+    meter: &mut Meter,
+) -> FedResult<Op<'p>> {
+    let columnar = match (step, jk) {
+        (FromStep::ScanLocal { table, schema, .. }, Some(jk)) => {
+            !use_index_probe(fdbs, table, schema, jk, access)?
         }
+        (FromStep::ScanLocal { .. } | FromStep::ScanForeign { .. }, _) => true,
+        (FromStep::TableFunc { .. }, _) => false,
+    };
+    if !columnar {
+        return prepare_step_op(fdbs, step, position, jk, proj, access, params, meter);
     }
+    let batch = scan_step_cols(fdbs, step, proj, meter)?;
+    join_op(BuildSide::Cols(batch), jk, proj)
 }
 
 /// What a vectorized operator arm decided for a columnar batch.
@@ -313,51 +283,34 @@ fn vop_push(
             // output, and the authoritative error all come from it.
             Err(_) => Planned::Fallback,
         },
-        Op::HashJoin {
-            build_rows,
-            build_cols,
-            probe,
-            table,
-            out_count,
-        } => {
-            if b.is_empty() || build_rows.is_empty() {
+        Op::HashJoin(join) => {
+            if join.short_circuits(b.len()) {
                 Planned::Done(VBatch::Rows(Vec::new()))
             } else {
-                match probe
+                match join
+                    .probe
                     .iter()
                     .map(|p| eval_vcol(p, &b, params))
                     .collect::<FedResult<Vec<VCol>>>()
                 {
                     Err(_) => Planned::Fallback,
                     Ok(pcols) => {
-                        if table.is_none() {
-                            let mut t: HashMap<Vec<ValueKey>, Vec<usize>> = HashMap::new();
-                            for (i, row) in build_rows.iter().enumerate() {
-                                if let Some(key) = build_key(row, build_cols)? {
-                                    t.entry(key).or_default().push(i);
-                                }
-                            }
-                            *table = Some(t);
-                        }
-                        let t = table.as_ref().expect("hash table built above");
-                        let mut out = Vec::new();
-                        'rows: for i in 0..b.len() {
-                            let mut key = Vec::with_capacity(pcols.len());
-                            for pc in &pcols {
-                                match join_key_checked(&pc.value_at(i))? {
-                                    Some(k) => key.push(k),
-                                    None => continue 'rows,
-                                }
-                            }
-                            if let Some(matches) = t.get(&key) {
-                                let left = b.row(i);
-                                for &bi in matches {
-                                    out.push(left.concat(&build_rows[bi]));
-                                }
-                            }
-                        }
-                        *out_count += out.len();
-                        Planned::Done(VBatch::Rows(out))
+                        let (left, right) = join.probe_cols(&pcols, b.len())?;
+                        // A columnar build side gathers into a columnar
+                        // output, so the operators after the join stay
+                        // vectorized; a row build side composes rows.
+                        Planned::Done(match &join.build {
+                            BuildSide::Cols(build) => VBatch::Cols(
+                                b.gather(&left).concat_columns(build.gather(&right)),
+                                None,
+                            ),
+                            BuildSide::Rows(rows) => VBatch::Rows(
+                                left.iter()
+                                    .zip(&right)
+                                    .map(|(&l, &r)| b.row(l as usize).concat(&rows[r as usize]))
+                                    .collect(),
+                            ),
+                        })
                     }
                 }
             }
@@ -479,14 +432,7 @@ fn vsink_push(
             match (keys, args) {
                 (Ok(kc), Ok(ac)) => {
                     agg.charge_batch(meter, b.len() as u64);
-                    for i in 0..b.len() {
-                        let keys: Vec<Value> = kc.iter().map(|c| c.value_at(i)).collect();
-                        let args: Vec<Option<Value>> = ac
-                            .iter()
-                            .map(|c| c.as_ref().map(|c| c.value_at(i)))
-                            .collect();
-                        agg.push_evaled(keys, args);
-                    }
+                    agg.push_cols(&kc, &ac, b.len());
                     Ok(false)
                 }
                 // Key or argument evaluation failed somewhere in the
@@ -595,85 +541,34 @@ pub(crate) fn execute_streaming_vectorized(
 ) -> FedResult<Table> {
     let cost = fdbs.cost();
 
-    let chunk_step0 = matches!(plan.steps.first(), Some(FromStep::ScanLocal { .. }))
-        && plan.step_join_keys.first().is_some_and(|jk| jk.is_none());
-    let (mut source, start) = if chunk_step0 {
-        let Some(FromStep::ScanLocal {
+    let leads = scan_leads(plan);
+    let mut source = match plan.steps.first() {
+        Some(FromStep::ScanLocal {
             table, pushdown, ..
-        }) = plan.steps.first()
-        else {
-            unreachable!("checked above");
-        };
-        let projection = plan.step_projections.first().and_then(|p| p.as_deref());
-        (
-            VSource::Chunked {
-                table,
-                pushdown,
-                projection,
-                next: None,
-                started: false,
-                matched: 0,
-                epoch: None,
-            },
-            1,
-        )
-    } else {
-        (VSource::Rows(Some(vec![Row::empty()])), 0)
+        }) if leads => VSource::Chunked {
+            table,
+            pushdown,
+            projection: plan.step_projections.first().and_then(|p| p.as_deref()),
+            next: None,
+            started: false,
+            matched: 0,
+            epoch: None,
+        },
+        Some(step @ FromStep::ScanForeign { .. }) if leads => {
+            let proj = plan.step_projections.first().and_then(|p| p.as_deref());
+            let batch =
+                scan_step_cols(fdbs, step, proj, meter).context(from_item_context(0, step))?;
+            VSource::Batch(Some(VBatch::Cols(batch, None)))
+        }
+        _ => VSource::Batch(Some(VBatch::Rows(vec![Row::empty()]))),
     };
 
-    let mut ops: Vec<Op<'_>> = Vec::new();
-    if chunk_step0 {
-        if let Some(filter) = &plan.step_filters[0] {
-            ops.push(Op::Filter { filter });
-        }
-    }
-    for (i, step) in plan.steps.iter().enumerate().skip(start) {
-        let jk = plan.step_join_keys[i].as_ref();
-        let proj = plan.step_projections.get(i).and_then(|p| p.as_deref());
-        let access = plan.step_access.get(i).copied().unwrap_or_default();
-        let op = prepare_step_op_vectorized(fdbs, step, i, jk, proj, access, params, meter)
-            .context(format!("evaluating FROM item {} ({step:?})", i + 1))?;
-        ops.push(op);
-        if let Some(filter) = &plan.step_filters[i] {
-            ops.push(Op::Filter { filter });
-        }
-    }
+    let mut ops = prepare_ops(fdbs, plan, params, meter, leads, prepare_step_op_vectorized)?;
+    let mut sink = new_sink(plan, cost);
 
-    let mut sink = if let Some(agg) = &plan.aggregate {
-        Sink::Aggregate(Aggregator::new(plan, agg, cost, true))
-    } else if !plan.order_by.is_empty() {
-        Sink::Sort(Vec::new())
-    } else {
-        Sink::Project {
-            out: Table::new(plan.out_schema.clone()),
-            seen: plan.distinct.then(std::collections::HashSet::new),
-        }
-    };
-
-    let mut probes = meter.tracing().then(|| StreamProbes {
-        start_us: meter.now_us(),
-        source: StreamProbe::new(match &source {
-            VSource::Chunked { table, .. } => SpanName::from(format!("scan {table}")),
-            VSource::Rows(_) => SpanName::Static("seed"),
-        })
-        .with_est(match &source {
-            VSource::Chunked { .. } => plan.step_estimates.first().map(|e| e.scan_rows),
-            VSource::Rows(_) => None,
-        }),
-        ops: ops
-            .iter()
-            .zip(op_estimates(plan, chunk_step0, start))
-            .map(|(op, est)| StreamProbe::new(op_probe_name(op)).with_est(est))
-            .collect(),
-        sink: StreamProbe::new(
-            match &sink {
-                Sink::Aggregate(_) => "aggregate",
-                Sink::Sort(_) => "sort",
-                Sink::Project { .. } => "project",
-            }
-            .to_string(),
-        ),
-    });
+    let mut probes = meter
+        .tracing()
+        .then(|| StreamProbes::new(plan, leads, &ops, &sink, meter));
     let tracing = probes.is_some();
     let wall = tracing && meter.wall_sampling();
 
@@ -721,34 +616,5 @@ pub(crate) fn execute_streaming_vectorized(
     if let Some(p) = probes.as_mut() {
         p.source.virt_us += meter.now_us() - v0;
     }
-    for (i, op) in ops.iter().enumerate() {
-        let v0 = meter.now_us();
-        op.finish(cost, meter);
-        if let Some(p) = probes.as_mut() {
-            p.ops[i].virt_us += meter.now_us() - v0;
-        }
-    }
-
-    if let Some(p) = probes.take() {
-        let start = p.start_us;
-        meter.span_leaf(p.source.into_leaf(start));
-        for op_probe in p.ops {
-            meter.span_leaf(op_probe.into_leaf(start));
-        }
-        meter.span_leaf(p.sink.into_leaf(start));
-    }
-
-    match sink {
-        Sink::Aggregate(agg) => finish_aggregate(plan, agg.finish(meter)?, params),
-        Sink::Sort(rows) => scalar_tail(fdbs, plan, rows, params, meter, ExecMode::Streaming),
-        Sink::Project { out, .. } => {
-            if let Some(limit) = plan.limit {
-                if out.row_count() as u64 > limit {
-                    let rows: Vec<Row> = out.into_rows().into_iter().take(limit as usize).collect();
-                    return Ok(table_from_rows(plan.out_schema.clone(), rows));
-                }
-            }
-            Ok(out)
-        }
-    }
+    finish_pipeline(fdbs, plan, &ops, probes, sink, params, meter)
 }

@@ -40,6 +40,11 @@ pub const WIRE_VERSION: u8 = 1;
 /// attempting a multi-gigabyte allocation.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
+/// Payload bytes [`read_frame`] allocates before any arrive. A frame of at
+/// most this size takes one allocation; a larger one grows as its bytes
+/// come in.
+const EAGER_PAYLOAD: usize = 64 * 1024;
+
 /// What a frame's body contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
@@ -121,9 +126,20 @@ pub fn read_frame(
             "frame length {len} outside [2, {MAX_FRAME_LEN}] — stream desynchronized?"
         )));
     }
-    let mut payload = vec![0u8; len as usize];
-    if !read_full(r, &mut payload, &mut keep_waiting, false)? {
-        unreachable!("read_full reports mid-frame close as an error");
+    // The header's length claim alone must not cost its length in memory:
+    // allocate at most `EAGER_PAYLOAD` up front and double as bytes arrive.
+    let len = len as usize;
+    let mut payload = vec![0u8; len.min(EAGER_PAYLOAD)];
+    let mut filled = 0;
+    loop {
+        if !read_full(r, &mut payload[filled..], &mut keep_waiting, false)? {
+            unreachable!("read_full reports mid-frame close as an error");
+        }
+        filled = payload.len();
+        if filled == len {
+            break;
+        }
+        payload.resize(len.min(2 * filled), 0);
     }
     let got_crc = crc32(&payload);
     if got_crc != want_crc {
@@ -232,6 +248,43 @@ mod tests {
             let err = read_frame(&mut Cursor::new(&wire[..cut]), || true).unwrap_err();
             assert!(err.is_network(), "cut at {cut}: {err}");
         }
+    }
+
+    /// Serves `data`, then EOF, recording the largest buffer a read asked
+    /// to fill.
+    struct Recording<'a> {
+        data: &'a [u8],
+        largest_read: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_read = self.largest_read.max(buf.len());
+            let n = buf.len().min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn length_claim_alone_allocates_at_most_the_eager_payload() {
+        // A header claiming the full 64 MiB, then the peer hangs up.
+        let mut header = [0u8; 8];
+        header[0..4].copy_from_slice(&MAX_FRAME_LEN.to_le_bytes());
+        let mut r = Recording {
+            data: &header,
+            largest_read: 0,
+        };
+        let err = read_frame(&mut r, || true).unwrap_err();
+        assert!(err.is_network(), "{err}");
+        assert!(r.largest_read <= EAGER_PAYLOAD, "{}", r.largest_read);
+
+        // A frame larger than the eager buffer still arrives whole.
+        let body: Vec<u8> = (0..3 * EAGER_PAYLOAD + 5).map(|i| i as u8).collect();
+        let (kind, got) = roundtrip(FrameKind::Outcome, &body);
+        assert_eq!(kind, FrameKind::Outcome);
+        assert_eq!(got, body);
     }
 
     #[test]

@@ -123,7 +123,9 @@ impl NetServer {
     }
 
     /// Live counters: `net.connections` (accepted so far), `net.requests`,
-    /// `net.bad_frames` (connections dropped for protocol violations).
+    /// `net.bad_frames` (connections dropped for protocol violations),
+    /// `net.refused` (connections closed because no thread could be
+    /// spawned for them).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -180,15 +182,36 @@ fn accept_loop(
             Err(_) => continue, // transient accept failure; keep serving
         };
         metrics.counter("net.connections").inc();
-        let front = Arc::clone(front);
-        let stop = Arc::clone(stop);
-        let metrics = Arc::clone(metrics);
-        let poll = config.poll_interval;
-        let handle = std::thread::Builder::new()
-            .name("fedwf-net-conn".into())
-            .spawn(move || serve_connection(stream, &front, &stop, &metrics, poll))
-            .expect("spawn connection thread");
-        connections.lock().push(handle);
+        let spawned = {
+            let front = Arc::clone(front);
+            let stop = Arc::clone(stop);
+            let metrics = Arc::clone(metrics);
+            let poll = config.poll_interval;
+            std::thread::Builder::new()
+                .name("fedwf-net-conn".into())
+                .spawn(move || serve_connection(stream, &front, &stop, &metrics, poll))
+        };
+        admit(connections, metrics, spawned);
+    }
+}
+
+/// Track a freshly spawned connection thread after joining the ones that
+/// have ended, so the list holds live connections only. A failed spawn
+/// refuses just that connection — its stream was dropped with the closure,
+/// which closes it — counts it in `net.refused`, and the accept loop
+/// carries on.
+fn admit(
+    connections: &Mutex<Vec<JoinHandle<()>>>,
+    metrics: &MetricsRegistry,
+    spawned: std::io::Result<JoinHandle<()>>,
+) {
+    let mut live = connections.lock();
+    for done in live.extract_if(.., |h| h.is_finished()) {
+        let _ = done.join();
+    }
+    match spawned {
+        Ok(handle) => live.push(handle),
+        Err(_) => metrics.counter("net.refused").inc(),
     }
 }
 
@@ -240,5 +263,32 @@ fn serve_connection(
             return; // peer gone mid-reply; nothing to salvage
         }
         let _ = writer.flush();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn admit_reaps_finished_connections_and_survives_a_failed_spawn() {
+        let connections = Mutex::new(Vec::new());
+        let metrics = MetricsRegistry::new();
+        let finished = std::thread::spawn(|| {});
+        while !finished.is_finished() {
+            std::thread::yield_now();
+        }
+        admit(&connections, &metrics, Ok(finished));
+        assert_eq!(connections.lock().len(), 1);
+
+        // The next admission joins the finished thread; a spawn failure
+        // is counted and refused, never a panic.
+        admit(
+            &connections,
+            &metrics,
+            Err(std::io::Error::other("no thread for you")),
+        );
+        assert!(connections.lock().is_empty());
+        assert_eq!(metrics.counter("net.refused").get(), 1);
     }
 }

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use crate::row::{Row, SchemaRef, Table};
-use crate::value::{DataType, Value};
+use crate::value::{DataType, JoinKeyRef, Value};
 
 /// Per-column storage: typed vectors for the SQL scalar types, an
 /// offsets-into-bytes encoding for VARCHAR, and a boxed-value fallback for
@@ -117,6 +117,24 @@ impl ColumnVec {
             }
         }
         true
+    }
+
+    /// Row `i`'s join key, read without boxing the value: always equal to
+    /// `self.value_at(i).join_key_ref()`.
+    pub fn join_key_ref(&self, i: usize) -> Option<JoinKeyRef<'_>> {
+        if !self.is_valid(i) {
+            return None;
+        }
+        Some(match &self.data {
+            ColumnData::Int(v) => JoinKeyRef::num(v[i] as f64),
+            ColumnData::BigInt(v) => JoinKeyRef::num(v[i] as f64),
+            ColumnData::Double(v) => JoinKeyRef::num(v[i]),
+            ColumnData::Boolean(v) => JoinKeyRef::Bool(v[i]),
+            ColumnData::Varchar { .. } => {
+                JoinKeyRef::Str(self.str_at(i).expect("valid varchar slot"))
+            }
+            ColumnData::Values(vals) => return vals[i].join_key_ref(),
+        })
     }
 
     /// Materialize row `i` as a boxed [`Value`] (allocates for VARCHAR).
@@ -593,6 +611,14 @@ impl ColumnBatch {
         }
     }
 
+    /// The columns of `self` followed by those of `other`, row for row —
+    /// a join's output layout. Both batches must hold the same rows.
+    pub fn concat_columns(mut self, other: ColumnBatch) -> ColumnBatch {
+        assert_eq!(self.len, other.len, "concatenated batches differ in rows");
+        self.columns.extend(other.columns);
+        self
+    }
+
     /// The first `n` rows (LIMIT truncation at a batch boundary).
     pub fn head(&self, n: usize) -> ColumnBatch {
         if n >= self.len {
@@ -735,5 +761,43 @@ mod tests {
         assert_eq!(b.head(2).len(), 2);
         assert_eq!(b.head(9).len(), 3);
         assert_eq!(b.head(2).value_at(0, 1), Value::Int(2));
+    }
+
+    #[test]
+    fn column_join_keys_match_value_join_keys() {
+        let vals = [
+            Value::Int(7),
+            Value::BigInt(-3),
+            Value::Double(-0.0),
+            Value::Double(f64::NAN),
+            Value::Double(1.7e308),
+            Value::Boolean(true),
+            Value::str("k"),
+            Value::Null,
+        ];
+        // Each value in its own typed column, then all of them in one
+        // heterogeneous column.
+        let mut batches: Vec<ColumnBatch> = vals
+            .iter()
+            .map(|v| {
+                let ty = v.data_type().unwrap_or(DataType::Int);
+                batch_of(&[ty], vec![vec![v.clone()], vec![Value::Null]])
+            })
+            .collect();
+        batches.push(batch_of(
+            &[DataType::Int],
+            vals.iter().map(|v| vec![v.clone()]).collect(),
+        ));
+        assert!(matches!(
+            batches.last().unwrap().columns()[0].data,
+            ColumnData::Values(_)
+        ));
+        for batch in &batches {
+            let col = &batch.columns()[0];
+            for i in 0..batch.len() {
+                let v = col.value_at(i);
+                assert_eq!(col.join_key_ref(i), v.join_key_ref(), "{v:?}");
+            }
+        }
     }
 }

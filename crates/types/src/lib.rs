@@ -30,5 +30,5 @@ pub use ident::{Ident, QualifiedName};
 pub use params::Params;
 pub use row::{Column, Row, Schema, SchemaRef, Table};
 pub use txn::{CommitMode, TxnId, TXN_EPOCH_ZERO, TXN_INFINITY};
-pub use value::{DataType, Value, ValueKey};
+pub use value::{DataType, JoinKeyRef, Value, ValueKey};
 pub use wire::{crc32, WireReader, WireWriter};

@@ -246,29 +246,34 @@ impl Value {
         }
     }
 
-    /// Hashable equi-join key, equality-consistent with [`Value::sql_eq`]:
+    /// Borrowed equi-join key, equality-consistent with [`Value::sql_eq`]:
     /// `a.sql_eq(b) == Some(true)` iff both keys are `Some` and equal.
-    /// `None` for NULL (which joins nothing under 3VL). NaN maps to
-    /// `Some(ValueKey::NaN)` — callers that need `sql_cmp`'s "incomparable"
-    /// error semantics for NaN must check `is_nan` themselves.
-    ///
-    /// All numerics collapse to canonical f64 bits because `sql_cmp`
-    /// compares numerics as f64 (so `BigInt(1) = Double(1.0)` joins).
+    /// `None` for NULL (which joins nothing under 3VL). This is the one
+    /// definition of the join-key rule; see [`JoinKeyRef`].
+    pub fn join_key_ref(&self) -> Option<JoinKeyRef<'_>> {
+        Some(match self {
+            Value::Null => return None,
+            Value::Boolean(b) => JoinKeyRef::Bool(*b),
+            Value::Int(v) => JoinKeyRef::num(*v as f64),
+            Value::BigInt(v) => JoinKeyRef::num(*v as f64),
+            Value::Double(d) => JoinKeyRef::num(*d),
+            Value::Varchar(s) => JoinKeyRef::Str(s),
+        })
+    }
+
+    /// Owned [`Value::join_key_ref`], for hash tables that outlive the
+    /// value: NaN maps to `Some(ValueKey::NaN)`, and a string key shares
+    /// the value's payload.
     pub fn join_key(&self) -> Option<ValueKey> {
-        match self {
-            Value::Null => None,
-            Value::Boolean(b) => Some(ValueKey::Bool(*b)),
-            Value::Int(v) => Some(ValueKey::Float(canonical_f64_bits(*v as f64))),
-            Value::BigInt(v) => Some(ValueKey::Float(canonical_f64_bits(*v as f64))),
-            Value::Double(d) => {
-                if d.is_nan() {
-                    Some(ValueKey::NaN)
-                } else {
-                    Some(ValueKey::Float(canonical_f64_bits(*d)))
-                }
-            }
-            Value::Varchar(s) => Some(ValueKey::Str(s.clone())),
-        }
+        Some(match self.join_key_ref()? {
+            JoinKeyRef::Bool(b) => ValueKey::Bool(b),
+            JoinKeyRef::Num(bits) => ValueKey::Float(bits),
+            JoinKeyRef::NaN => ValueKey::NaN,
+            JoinKeyRef::Str(_) => match self {
+                Value::Varchar(s) => ValueKey::Str(s.clone()),
+                _ => unreachable!("only VARCHAR values have string join keys"),
+            },
+        })
     }
 
     /// Render the value the way a result-table printer would.
@@ -290,6 +295,35 @@ fn canonical_f64_bits(d: f64) -> u64 {
         0.0f64.to_bits()
     } else {
         d.to_bits()
+    }
+}
+
+/// A borrowed equi-join key ([`Value::join_key_ref`],
+/// [`ColumnVec::join_key_ref`](crate::ColumnVec::join_key_ref)): hashing a
+/// join side read straight out of a column batch allocates nothing.
+///
+/// All numerics collapse to canonical f64 bits because `sql_cmp` compares
+/// numerics as f64 (so `BigInt(1) = Double(1.0)` joins, and `-0.0` joins
+/// `0.0`). NaN gets a key of its own so hashing stays consistent with
+/// comparison; callers that need `sql_cmp`'s "incomparable" error for it
+/// must check for [`JoinKeyRef::NaN`] themselves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum JoinKeyRef<'a> {
+    Bool(bool),
+    /// Canonical f64 bits of a non-NaN numeric.
+    Num(u64),
+    NaN,
+    Str(&'a str),
+}
+
+impl JoinKeyRef<'_> {
+    /// The key of a numeric, compared as f64.
+    pub fn num(x: f64) -> Self {
+        if x.is_nan() {
+            JoinKeyRef::NaN
+        } else {
+            JoinKeyRef::Num(canonical_f64_bits(x))
+        }
     }
 }
 

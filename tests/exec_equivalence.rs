@@ -8,7 +8,10 @@
 //! queries (including 3-way joins over skewed-NDV columns) straight into
 //! an [`fedwf::fdbs::Fdbs`], crossing executor × vectorization × pruning
 //! × planner mode; Part B replays the paper's Fig. 5 workload on all four
-//! integration architectures under both executors.
+//! integration architectures under both executors. The two streaming
+//! executors (row batches and column batches) are held to the stricter
+//! parity contract of `crates/fdbs/src/vexec.rs`: identical rows in
+//! identical order, identical virtual time, identical probe names.
 
 use std::sync::Arc;
 
@@ -60,14 +63,31 @@ fn render_lit(v: &Value) -> String {
     }
 }
 
+/// A DOUBLE for F.D: mostly small integral values (so it joins against
+/// INT keys), plus `-0.0` (equal to `0.0` and to INT 0), non-integral
+/// values, values near f64 overflow (their sums overflow to infinity),
+/// NULL, and — only when `nan` — NaN.
+fn gen_double(rng: &mut Rng, nan: bool) -> Value {
+    match rng.range_usize(0, 10) {
+        0 => Value::Double(-0.0),
+        1 => Value::Double(if rng.gen_bool(0.5) { 1.7e308 } else { -1.7e308 }),
+        2 if nan => Value::Double(f64::NAN),
+        3 => Value::Null,
+        4 => Value::Double(f64::from(rng.range_i32(0, 9)) + 0.5),
+        _ => Value::Double(f64::from(rng.range_i32(0, 9))),
+    }
+}
+
 /// One randomized federation: local T1(K, V, S), local-or-foreign
 /// T2(K, W) (local sometimes carries a unique index on K, the
-/// index-probe-join path), and a deterministic dependent UDTF with an
-/// architecture charge spec. A quarter of the federations are NULL-heavy
-/// (60% NULL keys, NULLable V) and mix empty strings into S, so the
-/// columnar validity bitmaps and varchar offset pairs get exercised on
-/// degenerate shapes, not just the happy path.
-fn gen_federation(rng: &mut Rng) -> Fdbs {
+/// index-probe-join path), an always-foreign F(K, D, W) with a DOUBLE
+/// column, and a deterministic dependent UDTF with an architecture charge
+/// spec. A quarter of the federations are NULL-heavy (60% NULL keys,
+/// NULLable V) and mix empty strings into S, so the columnar validity
+/// bitmaps and varchar offset pairs get exercised on degenerate shapes,
+/// not just the happy path. The returned flag says whether F.D holds a
+/// NaN.
+fn gen_federation(rng: &mut Rng) -> (Fdbs, bool) {
     let fdbs = Fdbs::new(CostModel::default());
     let mut meter = Meter::new();
     fdbs.execute("CREATE TABLE T1 (K INT, V INT, S VARCHAR)", &mut meter)
@@ -169,6 +189,21 @@ fn gen_federation(rng: &mut Rng) -> Fdbs {
         .collect();
     insert_rows(&fdbs, "T3", &rows);
 
+    // F leads the queries that open with a foreign table, so the wrapper's
+    // column batch is the pipeline source. NaN reaches F.D in a third of
+    // the federations.
+    let nan = rng.gen_bool(0.3);
+    let rows: Vec<Row> = (0..rng.range_usize(0, 40))
+        .map(|_| {
+            Row::new(vec![
+                gen_key(rng, null_p),
+                gen_double(rng, nan),
+                Value::Int(rng.range_i32(-50, 50)),
+            ])
+        })
+        .collect();
+    register_f(&fdbs, "F", rows);
+
     // Deterministic dependent UDTF with an A-UDTF-style charge spec, so a
     // divergence in invocation counts shows up in the charge multiset.
     fdbs.register_udtf(
@@ -201,46 +236,118 @@ fn gen_federation(rng: &mut Rng) -> Fdbs {
     if rng.gen_bool(0.5) {
         fdbs.analyze().unwrap();
     }
-    fdbs
+    (fdbs, nan)
 }
 
-fn gen_query(rng: &mut Rng) -> String {
-    match rng.range_usize(0, 10) {
-        0 => "SELECT A.V, B.W FROM T1 AS A, T2 AS B WHERE B.K = A.K".to_string(),
+/// One generated statement and its host-variable binds.
+struct Query {
+    sql: String,
+    params: Vec<(&'static str, Value)>,
+}
+
+impl From<String> for Query {
+    fn from(sql: String) -> Query {
+        Query {
+            sql,
+            params: Vec::new(),
+        }
+    }
+}
+
+impl From<&str> for Query {
+    fn from(sql: &str) -> Query {
+        Query::from(sql.to_string())
+    }
+}
+
+impl Query {
+    fn bind(mut self, name: &'static str, v: i32) -> Query {
+        self.params.push((name, Value::Int(v)));
+        self
+    }
+
+    fn run(&self, fdbs: &Fdbs, meter: &mut Meter) -> Result<Table, String> {
+        let params: Vec<(&str, Value)> = self.params.iter().map(|(n, v)| (*n, v.clone())).collect();
+        fdbs.execute_with_params(&self.sql, &params, meter)
+            .map_err(|e| e.to_string())
+    }
+}
+
+impl std::fmt::Display for Query {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} {:?}", self.sql, self.params)
+    }
+}
+
+/// A generated query, and whether it joins on the DOUBLE column `F.D` —
+/// the only generated join key a NaN can reach.
+fn gen_query(rng: &mut Rng) -> (Query, bool) {
+    let pick = rng.range_usize(0, 14);
+    let q = match pick {
+        0 => "SELECT A.V, B.W FROM T1 AS A, T2 AS B WHERE B.K = A.K".into(),
         1 => format!(
             "SELECT A.S, B.W FROM T1 AS A, T2 AS B WHERE B.K = A.K AND B.W > {}",
             rng.range_i32(-50, 50)
-        ),
-        2 => "SELECT DISTINCT A.K FROM T1 AS A".to_string(),
+        )
+        .into(),
+        2 => "SELECT DISTINCT A.K FROM T1 AS A".into(),
         3 => "SELECT A.K, COUNT(*) AS c FROM T1 AS A, T2 AS B \
               WHERE B.K = A.K GROUP BY A.K ORDER BY 2 DESC"
-            .to_string(),
-        4 => "SELECT A.V, D.M FROM T1 AS A, TABLE (Dep(A.K)) AS D".to_string(),
-        5 => {
-            "SELECT COUNT(*) AS n, SUM(A.V) AS s FROM T1 AS A, T2 AS B WHERE B.K = A.K".to_string()
-        }
+            .into(),
+        4 => "SELECT A.V, D.M FROM T1 AS A, TABLE (Dep(A.K)) AS D".into(),
+        5 => "SELECT COUNT(*) AS n, SUM(A.V) AS s FROM T1 AS A, T2 AS B WHERE B.K = A.K".into(),
         // Single-table LIMIT: every executor scans T1 in slot order, so
         // the first-N prefix (and its early exit) must agree everywhere.
         6 => format!(
             "SELECT A.K, A.S FROM T1 AS A WHERE A.V > {} LIMIT {}",
             rng.range_i32(-50, 50),
             rng.range_usize(1, 8)
-        ),
+        )
+        .into(),
         // Empty-string equality: the varchar kernel must treat a
         // zero-length offset pair exactly like the row comparator does.
-        7 => "SELECT A.K, A.V FROM T1 AS A WHERE A.S = ''".to_string(),
+        7 => "SELECT A.K, A.V FROM T1 AS A WHERE A.S = ''".into(),
         // 3-way joins over the skewed-NDV table: real reorder decisions
         // for the cost-based planner, with conjuncts that bind across
         // different table pairs depending on the chosen order.
         8 => "SELECT A.V, B.W, C.Z FROM T1 AS A, T2 AS B, T3 AS C \
               WHERE B.K = A.K AND C.K = A.K"
-            .to_string(),
-        _ => format!(
+            .into(),
+        9 => format!(
             "SELECT COUNT(*) AS n, SUM(C.Z) AS z FROM T1 AS A, T2 AS B, T3 AS C \
              WHERE B.K = A.K AND C.K = B.K AND A.V > {}",
             rng.range_i32(-50, 50)
-        ),
-    }
+        )
+        .into(),
+        // The foreign table leads: its column batch is the source, the
+        // filter and every aggregate run over it — DOUBLE sums that
+        // overflow to infinity or turn NaN, MIN/MAX over -0.0 and 0.0.
+        10 => Query::from(
+            "SELECT F.K, COUNT(*) AS n, COUNT(F.D) AS nd, SUM(F.D) AS s, AVG(F.D) AS a, \
+             MIN(F.D) AS lo, MAX(F.D) AS hi, SUM(F.W) AS w \
+             FROM F WHERE F.W >= MinW GROUP BY F.K",
+        )
+        .bind("MinW", rng.range_i32(-50, 50)),
+        // The DOUBLE column as the group key: -0.0 and 0.0 share a group,
+        // NaN groups with NaN.
+        11 => Query::from(
+            "SELECT F.D, COUNT(*) AS n, MIN(F.W) AS lo, MAX(F.W) AS hi \
+             FROM F WHERE F.W <= MaxW GROUP BY F.D",
+        )
+        .bind("MaxW", rng.range_i32(-50, 50)),
+        // The DOUBLE column as a join key, the foreign side first in
+        // syntactic order: 3.0 joins INT 3, -0.0 joins 0, NaN is an error.
+        12 => Query::from("SELECT F.D, F.W, A.V, A.S FROM F, T1 AS A WHERE A.K = F.D AND F.W > Lo")
+            .bind("Lo", rng.range_i32(-50, 50)),
+        // Aggregates over a foreign-first join: the columnar join output
+        // feeds the columnar aggregate.
+        _ => Query::from(
+            "SELECT A.K, COUNT(*) AS n, SUM(A.V) AS v, MIN(A.S) AS s, MAX(F.W) AS w \
+             FROM F, T1 AS A WHERE A.K = F.K AND F.W > Lo GROUP BY A.K",
+        )
+        .bind("Lo", rng.range_i32(-50, 50)),
+    };
+    (q, pick == 12)
 }
 
 /// The row multiset, as sorted rendered rows.
@@ -285,86 +392,318 @@ fn udtf_invocation_charges(charges: &[Charge]) -> usize {
         .count()
 }
 
+/// Every row of a result rendered in order — bit-level distinctions like
+/// `-0` vs `0` included, which structural `Value` equality folds together.
+fn rendered_in_order(t: &Table) -> Vec<String> {
+    t.rows()
+        .iter()
+        .map(|r| {
+            r.values()
+                .iter()
+                .map(Value::render)
+                .collect::<Vec<_>>()
+                .join("|")
+        })
+        .collect()
+}
+
+/// What the parity contract compares between the two streaming
+/// executors: the result (rows in order, or the error), the virtual time,
+/// and the names of every span in the trace.
+#[derive(Debug, PartialEq)]
+struct StreamRun {
+    result: Result<Vec<String>, String>,
+    elapsed_us: u64,
+    spans: Vec<String>,
+}
+
+fn stream_run(fdbs: &Fdbs, q: &Query, options: ExecOptions) -> StreamRun {
+    fdbs.set_options(options);
+    let mut meter = Meter::new();
+    meter.set_tracing(true);
+    let result = q.run(fdbs, &mut meter).map(|t| rendered_in_order(&t));
+    let spans = meter
+        .finish_trace()
+        .map(|t| t.flatten().iter().map(|n| n.name.to_string()).collect())
+        .unwrap_or_default();
+    StreamRun {
+        result,
+        elapsed_us: meter.elapsed_us(),
+        spans,
+    }
+}
+
 #[test]
 fn generated_queries_agree_between_executors() {
     check::cases(48, |rng| {
-        let fdbs = gen_federation(rng);
+        let (fdbs, nan) = gen_federation(rng);
         for _ in 0..rng.range_usize(1, 4) {
-            let sql = gen_query(rng);
-
-            // Reference: the naive cross-product path in syntactic FROM
-            // order with pruning off.
-            fdbs.set_options(
-                ExecOptions::default()
-                    .mode(ExecMode::Naive)
-                    .udtf_memo(false)
-                    .projection_pruning(false)
-                    .planner(PlannerMode::Syntactic),
-            );
-            let mut naive_meter = Meter::new();
-            let naive = fdbs.execute(&sql, &mut naive_meter).unwrap();
-            let naive_rows = row_multiset(&naive);
-            let naive_arch = arch_charges(naive_meter.charges());
-
-            // Every (executor, vectorization, pruning, planner)
-            // combination must reproduce the reference row multiset and
-            // architecture charge multiset — join reordering may change
-            // FDBS-internal composition work, never the rows and never
-            // the charges the paper attributes to the architectures.
-            // Streaming runs twice: over row batches (the retained
-            // reference pipeline) and over column batches.
-            for (mode, vectorized) in [
-                (ExecMode::Naive, true),
-                (ExecMode::JoinAware, true),
-                (ExecMode::Streaming, false),
-                (ExecMode::Streaming, true),
-            ] {
-                for pruning in [false, true] {
-                    for planner in [PlannerMode::Syntactic, PlannerMode::CostBased] {
-                        fdbs.set_options(
-                            ExecOptions::default()
-                                .mode(mode)
-                                .vectorized(vectorized)
-                                .projection_pruning(pruning)
-                                .planner(planner)
-                                .udtf_memo(false),
-                        );
-                        let mut meter = Meter::new();
-                        let got = fdbs.execute(&sql, &mut meter).unwrap();
-                        assert_eq!(
-                            naive_rows,
-                            row_multiset(&got),
-                            "row multisets diverge for {sql} ({mode:?}, \
-                             vectorized={vectorized}, pruning={pruning}, {planner})"
-                        );
-                        assert_eq!(
-                            naive_arch,
-                            arch_charges(meter.charges()),
-                            "architecture charges diverge for {sql} ({mode:?}, \
-                             vectorized={vectorized}, pruning={pruning}, {planner})"
-                        );
-                    }
-                }
-            }
-
-            // Memoization may only *remove* dependent-UDTF invocations —
-            // never change the rows. (The default configuration:
-            // streaming, vectorized, pruned, cost-based, memo on.)
-            fdbs.set_options(ExecOptions::default());
-            let mut memo_meter = Meter::new();
-            let memoed = fdbs.execute(&sql, &mut memo_meter).unwrap();
-            assert_eq!(
-                naive_rows,
-                row_multiset(&memoed),
-                "memoized row multisets diverge for {sql}"
-            );
-            assert!(
-                udtf_invocation_charges(memo_meter.charges())
-                    <= udtf_invocation_charges(naive_meter.charges()),
-                "memoization increased UDTF charges for {sql}"
-            );
+            let (q, joins_on_d) = gen_query(rng);
+            check_query(&fdbs, &q, nan && joins_on_d);
         }
     });
+}
+
+/// Run `q` on every executor configuration and hold each to the naive
+/// reference (row multiset, architecture charges) and the two streaming
+/// executors to their exact parity contract. `nan` says a NaN in the data
+/// may reach one of `q`'s join keys: then a run may fail, but only with the
+/// NaN comparison error, and results are compared wherever both succeed.
+/// Otherwise every run must succeed.
+fn check_query(fdbs: &Fdbs, q: &Query, nan: bool) {
+    let ok_or_nan_error = |r: &Result<Table, String>| {
+        r.as_ref()
+            .err()
+            .is_none_or(|e| nan && e.contains("cannot compare") && e.contains("NaN"))
+    };
+    // Reference: the naive cross-product path in syntactic FROM
+    // order with pruning off.
+    fdbs.set_options(
+        ExecOptions::default()
+            .mode(ExecMode::Naive)
+            .udtf_memo(false)
+            .projection_pruning(false)
+            .planner(PlannerMode::Syntactic),
+    );
+    let mut naive_meter = Meter::new();
+    let naive = q.run(fdbs, &mut naive_meter);
+    // A NaN join key is an error on the hash-join paths even where
+    // the naive path never compares it (every pairing is with a
+    // NULL, or it is filtered first), so any run may fail on one.
+    assert!(
+        ok_or_nan_error(&naive),
+        "naive path failed for {q}: {naive:?}"
+    );
+    let naive_rows = naive.as_ref().map(row_multiset);
+    let naive_arch = arch_charges(naive_meter.charges());
+
+    // Every (executor, vectorization, pruning, planner)
+    // combination must reproduce the reference row multiset and
+    // architecture charge multiset — join reordering may change
+    // FDBS-internal composition work, never the rows and never
+    // the charges the paper attributes to the architectures.
+    // Streaming runs twice: over row batches (the retained
+    // reference pipeline) and over column batches.
+    for (mode, vectorized) in [
+        (ExecMode::Naive, true),
+        (ExecMode::JoinAware, true),
+        (ExecMode::Streaming, false),
+        (ExecMode::Streaming, true),
+    ] {
+        for pruning in [false, true] {
+            for planner in [PlannerMode::Syntactic, PlannerMode::CostBased] {
+                let options = ExecOptions::default()
+                    .mode(mode)
+                    .vectorized(vectorized)
+                    .projection_pruning(pruning)
+                    .planner(planner)
+                    .udtf_memo(false);
+                fdbs.set_options(options);
+                let mut meter = Meter::new();
+                let got = q.run(fdbs, &mut meter);
+                assert!(
+                    ok_or_nan_error(&got),
+                    "{q} failed ({mode:?}, vectorized={vectorized}, \
+                     pruning={pruning}, {planner}): {got:?}"
+                );
+                let (Ok(want), Ok(got)) = (&naive_rows, &got) else {
+                    continue;
+                };
+                assert_eq!(
+                    want,
+                    &row_multiset(got),
+                    "row multisets diverge for {q} ({mode:?}, \
+                     vectorized={vectorized}, pruning={pruning}, {planner})"
+                );
+                assert_eq!(
+                    naive_arch,
+                    arch_charges(meter.charges()),
+                    "architecture charges diverge for {q} ({mode:?}, \
+                     vectorized={vectorized}, pruning={pruning}, {planner})"
+                );
+            }
+        }
+    }
+
+    // The parity contract between the two streaming executors is
+    // exact: same rows in the same order (or the same error), the
+    // same virtual time, the same probe names.
+    for pruning in [false, true] {
+        for planner in [PlannerMode::Syntactic, PlannerMode::CostBased] {
+            let options = ExecOptions::default()
+                .mode(ExecMode::Streaming)
+                .projection_pruning(pruning)
+                .planner(planner)
+                .udtf_memo(false);
+            let rows = stream_run(fdbs, q, options.vectorized(false));
+            let cols = stream_run(fdbs, q, options.vectorized(true));
+            assert_eq!(
+                rows, cols,
+                "row and columnar streaming diverge for {q} \
+                 (pruning={pruning}, {planner})"
+            );
+        }
+    }
+
+    // Memoization may only *remove* dependent-UDTF invocations —
+    // never change the rows. (The default configuration:
+    // streaming, vectorized, pruned, cost-based, memo on.)
+    fdbs.set_options(ExecOptions::default());
+    let mut memo_meter = Meter::new();
+    let memoed = q.run(fdbs, &mut memo_meter);
+    if let (Ok(want), Ok(memoed)) = (&naive_rows, &memoed) {
+        assert_eq!(
+            want,
+            &row_multiset(memoed),
+            "memoized row multisets diverge for {q}"
+        );
+        assert!(
+            udtf_invocation_charges(memo_meter.charges())
+                <= udtf_invocation_charges(naive_meter.charges()),
+            "memoization increased UDTF charges for {q}"
+        );
+    } else {
+        assert!(
+            ok_or_nan_error(&memoed),
+            "{q} failed with memoization: {memoed:?}"
+        );
+    }
+}
+
+/// Register `rows` of F(K INT, D DOUBLE, W INT) as the foreign table
+/// `name`.
+fn register_f(fdbs: &Fdbs, name: &str, rows: Vec<Row>) {
+    let remote = Database::new("remote-f");
+    remote
+        .create_table(
+            "FR",
+            Arc::new(Schema::of(&[
+                ("K", DataType::Int),
+                ("D", DataType::Double),
+                ("W", DataType::Int),
+            ])),
+        )
+        .unwrap();
+    remote.insert_all("FR", rows).unwrap();
+    fdbs.catalog()
+        .register_foreign_table(
+            name,
+            Arc::new(RelstoreServer::new("mes", Arc::new(remote))),
+            "FR",
+        )
+        .unwrap();
+}
+
+/// The DOUBLE edge cases of foreign-first plans, deterministically:
+/// `-0.0` joins INT 0 and groups with `0.0`, integral doubles join INT
+/// keys, sums past f64 range reach infinity, MIN/MAX keep the first of
+/// equal values. A NaN join key fails every hash-join path with the same
+/// error, while aggregating NaN is fine.
+#[test]
+fn double_join_keys_and_aggregates_at_the_edges() {
+    let fdbs = Fdbs::new(CostModel::default());
+    let mut meter = Meter::new();
+    fdbs.execute_script(
+        "CREATE TABLE T1 (K INT, V INT, S VARCHAR); \
+         INSERT INTO T1 VALUES (0, 1, 'a'), (3, 2, 'b'), (NULL, 3, 'c'), (9, 4, ''), (0, 5, 'e');",
+        &mut meter,
+    )
+    .unwrap();
+    let edge = [
+        (1, Some(-0.0), 5),
+        (1, Some(0.0), 6),
+        (2, Some(3.0), 7),
+        (2, Some(1.7e308), 8),
+        (3, Some(1.7e308), 9),
+        (3, Some(-1.7e308), 1),
+        (4, None, 2),
+        (4, Some(3.5), 3),
+        (0, Some(9.0), 4),
+        (0, Some(-0.0), 0),
+    ];
+    let rows = |edge: &[(i32, Option<f64>, i32)]| -> Vec<Row> {
+        edge.iter()
+            .map(|&(k, d, w)| {
+                Row::new(vec![
+                    Value::Int(k),
+                    d.map_or(Value::Null, Value::Double),
+                    Value::Int(w),
+                ])
+            })
+            .collect()
+    };
+    register_f(&fdbs, "F", rows(&edge));
+    let mut with_nan = edge.to_vec();
+    with_nan.insert(3, (2, Some(f64::NAN), 10));
+    register_f(&fdbs, "FN", rows(&with_nan));
+
+    let queries = [
+        Query::from(
+            "SELECT F.K, COUNT(*) AS n, COUNT(F.D) AS nd, SUM(F.D) AS s, AVG(F.D) AS a, \
+             MIN(F.D) AS lo, MAX(F.D) AS hi, SUM(F.W) AS w \
+             FROM F WHERE F.W >= MinW GROUP BY F.K",
+        )
+        .bind("MinW", 0),
+        Query::from(
+            "SELECT F.D, COUNT(*) AS n, MIN(F.W) AS lo, MAX(F.W) AS hi \
+             FROM F WHERE F.W <= MaxW GROUP BY F.D",
+        )
+        .bind("MaxW", 50),
+        Query::from("SELECT F.D, F.W, A.V, A.S FROM F, T1 AS A WHERE A.K = F.D AND F.W > Lo")
+            .bind("Lo", -1),
+        Query::from(
+            "SELECT A.K, COUNT(*) AS n, SUM(A.V) AS v, MIN(A.S) AS s, MAX(F.W) AS w \
+             FROM F, T1 AS A WHERE A.K = F.K AND F.W > Lo GROUP BY A.K",
+        )
+        .bind("Lo", -1),
+        // NaN as an aggregate argument and a group key: no error anywhere.
+        Query::from(
+            "SELECT FN.D, COUNT(*) AS n, SUM(FN.D) AS s, MIN(FN.D) AS lo, MAX(FN.D) AS hi \
+             FROM FN WHERE FN.W >= MinW GROUP BY FN.D",
+        )
+        .bind("MinW", 0),
+    ];
+    for q in &queries {
+        check_query(&fdbs, q, false);
+    }
+
+    // -0.0 really joined 0: two F rows (-0.0 and 0.0) times two T1 rows.
+    fdbs.set_options(ExecOptions::default());
+    let joined = queries[2].run(&fdbs, &mut meter).unwrap();
+    let zeros = joined
+        .rows()
+        .iter()
+        .filter(|r| r.values()[0] == Value::Double(0.0))
+        .count();
+    assert_eq!(zeros, 6, "{:?}", rendered_in_order(&joined));
+
+    // A NaN join key fails every hash-join path, and both streaming
+    // executors with the very same error.
+    let nan_join = Query::from("SELECT FN.D, A.V FROM FN, T1 AS A WHERE A.K = FN.D AND FN.W > Lo")
+        .bind("Lo", -1);
+    let mut errors = Vec::new();
+    for (mode, vectorized) in [
+        (ExecMode::JoinAware, true),
+        (ExecMode::Streaming, false),
+        (ExecMode::Streaming, true),
+    ] {
+        for planner in [PlannerMode::Syntactic, PlannerMode::CostBased] {
+            fdbs.set_options(
+                ExecOptions::default()
+                    .mode(mode)
+                    .vectorized(vectorized)
+                    .planner(planner),
+            );
+            let err = nan_join.run(&fdbs, &mut meter).unwrap_err();
+            assert!(err.contains("cannot compare NaN in a join key"), "{err}");
+            if mode == ExecMode::Streaming {
+                errors.push(err);
+            }
+        }
+    }
+    errors.dedup();
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    fdbs.set_options(ExecOptions::default());
 }
 
 /// ORDER BY may reference a column the SELECT list never mentions; the
