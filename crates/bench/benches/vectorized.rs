@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Runs the E14 wide-table workloads through the streaming executor twice
-//! — row batches (the PR-3 path, kept behind `ExecOptions::vectorized(false)`)
-//! and typed column batches — and reports wall clock plus the meter's
+//! — row batches (`ExecMode::Rows`, the parity reference) and typed column
+//! batches (`ExecMode::Columnar`) — and reports wall clock plus the meter's
 //! materialization counters per leg. Result equality and the columnar
 //! bytes bound are asserted on every run; the ≥2x headline speedup is
 //! asserted in the full run only (quick CI windows are too short to be

@@ -195,36 +195,37 @@ fn main() {
 
     if want("e13") {
         use fedwf_bench::join_scaling::{self, JoinScalingRow};
-        section("E13 — join-aware vs naive executor (wall clock, cost model zeroed)");
+        section("E13 — streaming vs naive executor (wall clock, cost model zeroed)");
         println!("{}", JoinScalingRow::render_header());
         for row in join_scaling::all(2_000) {
             println!("{}", row.render_row());
         }
         let (_, off, on) = join_scaling::dependent_memo(2_000, 10, 100_000);
         println!(
-            "\nbeyond the paper: the seed executor composed every FROM step as a\n\
-             Cartesian product and re-filtered per row; the join-aware executor\n\
-             extracts equi-join keys at bind time (hash join / unique-index\n\
-             probe), hashes DISTINCT and GROUP BY, and memoizes dependent UDTF\n\
-             calls ({off} invocations -> {on} on repeated argument tuples).\n\
+            "\nbeyond the paper: the naive oracle composes every FROM step as a\n\
+             Cartesian product and re-filters per row; the streaming executor\n\
+             joins on the equi-join keys extracted at bind time (hash join /\n\
+             unique-index probe), hashes DISTINCT and GROUP BY, and memoizes\n\
+             dependent UDTF calls ({off} invocations -> {on} on repeated\n\
+             argument tuples).\n\
              Full size ladder: cargo bench -p fedwf-bench --bench join_scaling.\n"
         );
     }
 
     if want("e14") {
         use fedwf_bench::scan_project::{self, ScanProjectRow};
-        section("E14 — streaming + projection pruning vs materializing executors");
+        section("E14 — streaming vs naive executor on wide rows");
         println!("{}", ScanProjectRow::render_header());
         for row in scan_project::all(2_000) {
             println!("{}", row.render_row());
         }
         let parse = scan_project::parse_path(300);
         println!(
-            "\nbeyond the paper: the join-aware executor still materialized every\n\
-             composed intermediate at full row width; the streaming executor\n\
-             pulls bounded batches through non-blocking operators and the binder\n\
-             prunes unreferenced columns into the scans (SQL/MED wrappers\n\
-             included), so only genuine pipeline breakers buffer rows. Warm\n\
+            "\nbeyond the paper: the naive oracle materializes every composed\n\
+             intermediate; the streaming executor pulls bounded batches through\n\
+             non-blocking operators, and the binder prunes unreferenced columns\n\
+             into the scans of every executor (SQL/MED wrappers included), so\n\
+             only genuine pipeline breakers buffer rows. Warm\n\
              statements also skip lexing/parsing on a raw-SQL plan-cache key\n\
              ({} re-parsed vs {} warm us over {} calls).\n\
              Full size ladder: cargo bench -p fedwf-bench --bench scan_project.\n",

@@ -4,7 +4,7 @@ use fedwf_core::{
     paper_functions, ArchitectureKind, ComplexityCase, IntegrationConfig, IntegrationServer,
     MappingSpec, Outcome, Request,
 };
-use fedwf_sim::{Breakdown, CostModel};
+use fedwf_sim::{Breakdown, CostModel, ExecOptions};
 use fedwf_types::{FedResult, Value};
 
 /// Build a booted server for an architecture with the default calibration.
@@ -57,8 +57,25 @@ pub fn call_fn(server: &IntegrationServer, name: &str, args: &[Value]) -> FedRes
 /// Warm (repeated) call: one throwaway invocation to fill every cache,
 /// then the measured one.
 pub fn warm_call(server: &IntegrationServer, name: &str, args: &[Value]) -> FedResult<Outcome> {
-    call_fn(server, name, args)?;
-    call_fn(server, name, args)
+    warm_call_with(server, name, args, ExecOptions::default())
+}
+
+/// [`warm_call`] with both calls running under `options`.
+pub fn warm_call_with(
+    server: &IntegrationServer,
+    name: &str,
+    args: &[Value],
+    options: ExecOptions,
+) -> FedResult<Outcome> {
+    let request = Request::function(name).params(args).exec_options(options);
+    server.execute(&request)?;
+    server.execute(&request)
+}
+
+/// The default options with the dependent-UDTF memo off: every identical
+/// call is booked, as the paper's per-invocation costs require (E5, E6).
+fn no_memo() -> ExecOptions {
+    ExecOptions::default().udtf_memo(false)
 }
 
 // ===========================================================================
@@ -312,15 +329,14 @@ pub struct LoopScalingPoint {
 /// Elapsed time of `AllCompNames(n)` on the WfMS architecture for each `n`.
 pub fn loop_scaling(ns: &[usize]) -> Vec<LoopScalingPoint> {
     let server = make_server(ArchitectureKind::Wfms);
-    // The paper's loop cost is per invocation: keep the dependent-UDTF
-    // memo off so repeated identical calls are never collapsed.
-    let f = server.fdbs();
-    f.set_options(f.options().udtf_memo(false));
     server.deploy(&paper_functions::all_comp_names()).unwrap();
     ns.iter()
         .map(|&n| {
             let args = vec![Value::Int(n as i32)];
-            let outcome = warm_call(&server, "AllCompNames", &args).unwrap();
+            // The paper's loop cost is per invocation: keep the
+            // dependent-UDTF memo off so repeated identical calls are never
+            // collapsed.
+            let outcome = warm_call_with(&server, "AllCompNames", &args, no_memo()).unwrap();
             LoopScalingPoint {
                 iterations: n,
                 elapsed_us: outcome.elapsed_us(),
@@ -378,20 +394,18 @@ pub struct AblationResult {
 pub fn controller_ablation() -> AblationResult {
     let spec = paper_functions::get_no_supp_comp();
     let measure = |cost: CostModel| -> (u64, u64) {
-        let wf = make_server_with_cost(ArchitectureKind::Wfms, cost.clone());
         // Ablation compares per-invocation controller shares; the
         // dependent-UDTF memo would skew them, so it stays off.
-        let f = wf.fdbs();
-        f.set_options(f.options().udtf_memo(false));
-        wf.deploy(&spec).unwrap();
-        let args = args_for(&wf, &spec);
-        let w = warm_call(&wf, "GetNoSuppComp", &args).unwrap().elapsed_us();
-        let ud = make_server_with_cost(ArchitectureKind::SqlUdtf, cost);
-        let f = ud.fdbs();
-        f.set_options(f.options().udtf_memo(false));
-        ud.deploy(&spec).unwrap();
-        let args = args_for(&ud, &spec);
-        let u = warm_call(&ud, "GetNoSuppComp", &args).unwrap().elapsed_us();
+        let call = |kind, cost| {
+            let server = make_server_with_cost(kind, cost);
+            server.deploy(&spec).unwrap();
+            let args = args_for(&server, &spec);
+            warm_call_with(&server, "GetNoSuppComp", &args, no_memo())
+                .unwrap()
+                .elapsed_us()
+        };
+        let w = call(ArchitectureKind::Wfms, cost.clone());
+        let u = call(ArchitectureKind::SqlUdtf, cost);
         (u, w)
     };
     let (u1, w1) = measure(CostModel::default());

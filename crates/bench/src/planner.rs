@@ -93,8 +93,7 @@ const THREE_WAY: &str = "SELECT COUNT(*) AS matches FROM Big AS H, Wide AS W, Ti
 fn time_query(fdbs: &Fdbs, sql: &str, planner: PlannerMode) -> (u128, Table) {
     // Everything but the planner stays at the streaming defaults — this
     // experiment is the plan, not the executor.
-    fdbs.set_options(ExecOptions::default().planner(planner));
-    let mut meter = Meter::new();
+    let mut meter = Meter::with_exec_options(ExecOptions::default().planner(planner));
     let start = Instant::now();
     let table = fdbs.execute(sql, &mut meter).expect("E18 query failed");
     (start.elapsed().as_micros(), table)
@@ -127,7 +126,6 @@ pub fn three_way_join(n: usize) -> PlannerRow {
 /// from the `EXPLAIN ANALYZE` report (statistics are fresh).
 pub fn median_q_error(n: usize) -> f64 {
     let fdbs = federation(n);
-    fdbs.set_options(ExecOptions::default().planner(PlannerMode::CostBased));
     let mut meter = Meter::new();
     let t = fdbs
         .execute(&format!("EXPLAIN ANALYZE {THREE_WAY}"), &mut meter)

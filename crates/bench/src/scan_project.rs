@@ -1,22 +1,21 @@
-//! E14 — streaming executor + projection pruning (real wall clock).
+//! E14 — streaming executor over pruned projections (real wall clock).
 //!
-//! The PR-2 join-aware executor still materialized every composed
-//! intermediate at full row width. This experiment measures what the
-//! zero-copy streaming executor with bind-time projection pruning buys on
+//! The naive oracle materializes every composed intermediate. This
+//! experiment measures what the zero-copy streaming executor buys on
 //! workloads where row *width*, not join algorithm, dominates: a wide
 //! "documents" table of which a query touches three columns, scanned and
-//! joined against a narrow dimension table. Three legs run the same SQL:
+//! joined against a narrow dimension table. Both legs run the same SQL over
+//! the same pruned syntactic plan:
 //!
-//! * **naive** — cross-product reference path, pruning off (the seed),
-//! * **join-aware** — the PR-2 materializing hash-join path, pruning off,
-//! * **streaming+pruned** — this PR's default configuration.
+//! * **naive** — the cross-product oracle, materializing each step,
+//! * **streaming** — the production columnar streaming executor.
 //!
 //! The cost model is zeroed so virtual charges do not distort wall time;
-//! all legs must produce identical results, and the meter's
+//! both legs must produce identical results, and the meter's
 //! `rows_materialized` / `bytes_materialized` observability counters are
-//! reported per leg — the streaming-pruned leg must materialize strictly
-//! fewer bytes than the join-aware leg, and the harness fails loudly if
-//! the counters are absent on a materializing leg.
+//! reported per leg — the streaming leg must materialize strictly fewer
+//! bytes than the naive leg, and the harness fails loudly if the counters
+//! are absent on the naive leg.
 
 use std::time::Instant;
 
@@ -37,52 +36,49 @@ pub struct ScanProjectLeg {
     pub bytes_materialized: u64,
 }
 
-/// One E14 workload: the three legs over the same data and SQL.
+/// One E14 workload: both legs over the same data and SQL.
 #[derive(Debug, Clone)]
 pub struct ScanProjectRow {
     pub workload: String,
     /// Rows in the wide table.
     pub n: usize,
     pub naive: ScanProjectLeg,
-    pub join_aware: ScanProjectLeg,
     pub streaming: ScanProjectLeg,
 }
 
 impl ScanProjectRow {
-    /// Wall-clock speedup of streaming+pruned over the join-aware leg.
+    /// Wall-clock speedup of the streaming leg over the naive leg.
     pub fn speedup(&self) -> f64 {
-        self.join_aware.elapsed_us as f64 / self.streaming.elapsed_us.max(1) as f64
+        self.naive.elapsed_us as f64 / self.streaming.elapsed_us.max(1) as f64
     }
 
-    /// Bytes-materialized ratio, join-aware : streaming.
+    /// Bytes-materialized ratio, naive : streaming.
     pub fn bytes_ratio(&self) -> f64 {
-        self.join_aware.bytes_materialized as f64 / self.streaming.bytes_materialized.max(1) as f64
+        self.naive.bytes_materialized as f64 / self.streaming.bytes_materialized.max(1) as f64
     }
 
     pub fn render_header() -> String {
         format!(
-            "{:<30} {:>7} {:>12} {:>12} {:>12} {:>8} {:>14} {:>14}",
+            "{:<30} {:>7} {:>12} {:>12} {:>8} {:>14} {:>14}",
             "workload",
             "n",
             "naive (us)",
-            "aware (us)",
             "stream (us)",
             "speedup",
-            "aware (bytes)",
+            "naive (bytes)",
             "stream (bytes)"
         )
     }
 
     pub fn render_row(&self) -> String {
         format!(
-            "{:<30} {:>7} {:>12} {:>12} {:>12} {:>7.1}x {:>14} {:>14}",
+            "{:<30} {:>7} {:>12} {:>12} {:>7.1}x {:>14} {:>14}",
             self.workload,
             self.n,
             self.naive.elapsed_us,
-            self.join_aware.elapsed_us,
             self.streaming.elapsed_us,
             self.speedup(),
-            self.join_aware.bytes_materialized,
+            self.naive.bytes_materialized,
             self.streaming.bytes_materialized,
         )
     }
@@ -131,26 +127,17 @@ pub fn wide_federation(n: usize) -> Fdbs {
     fdbs
 }
 
-fn run_leg(
-    fdbs: &Fdbs,
-    sql: &str,
-    mode: ExecMode,
-    pruning: bool,
-    name: &'static str,
-) -> (ScanProjectLeg, Table) {
-    // E14 compares executor strategies, so every leg runs the same
-    // syntactic plan — the planner is held fixed here and measured by its
-    // own experiment (E18).
-    fdbs.set_options(
-        ExecOptions::default()
-            .mode(mode)
-            .projection_pruning(pruning)
-            .planner(PlannerMode::Syntactic),
-    );
+fn run_leg(fdbs: &Fdbs, sql: &str, mode: ExecMode, name: &'static str) -> (ScanProjectLeg, Table) {
+    // E14 compares executors, so every leg runs the same syntactic plan —
+    // the planner is held fixed here and measured by its own experiment
+    // (E18).
+    let options = ExecOptions::default()
+        .mode(mode)
+        .planner(PlannerMode::Syntactic);
     // Warm the plan cache so the timed run is parse/bind-free.
-    let mut warm = Meter::new();
+    let mut warm = Meter::with_exec_options(options);
     fdbs.execute(sql, &mut warm).expect("E14 warmup failed");
-    let mut meter = Meter::new();
+    let mut meter = Meter::with_exec_options(options);
     let start = Instant::now();
     let table = fdbs.execute(sql, &mut meter).expect("E14 query failed");
     let elapsed_us = start.elapsed().as_micros();
@@ -181,46 +168,37 @@ fn row_multiset(t: &Table) -> Vec<String> {
     rows
 }
 
-/// Run the three legs of one workload and check the invariants: identical
-/// row multisets, live materialization counters on the materializing legs,
-/// and strictly fewer bytes materialized on the streaming-pruned leg.
+/// Run both legs of one workload and check the invariants: identical row
+/// multisets, live materialization counters on the naive leg, and strictly
+/// fewer bytes materialized on the streaming leg.
 pub fn run_workload(fdbs: &Fdbs, workload: &str, n: usize, sql: &str) -> ScanProjectRow {
-    let (naive, t_naive) = run_leg(fdbs, sql, ExecMode::Naive, false, "naive");
-    let (join_aware, t_aware) = run_leg(fdbs, sql, ExecMode::JoinAware, false, "join-aware");
-    let (streaming, t_stream) = run_leg(fdbs, sql, ExecMode::Streaming, true, "streaming+pruned");
-    // Restore the default configuration for any later use of the engine.
-    fdbs.set_options(ExecOptions::default());
+    let (naive, t_naive) = run_leg(fdbs, sql, ExecMode::Naive, "naive");
+    let (streaming, t_stream) = run_leg(fdbs, sql, ExecMode::Columnar, "streaming");
 
     assert_eq!(
         row_multiset(&t_naive),
-        row_multiset(&t_aware),
-        "E14 {workload}: naive and join-aware legs disagree"
-    );
-    assert_eq!(
-        row_multiset(&t_aware),
         row_multiset(&t_stream),
-        "E14 {workload}: join-aware and streaming legs disagree"
+        "E14 {workload}: naive and streaming legs disagree"
     );
     // Fail loudly if the observability counters went missing: a
     // materializing executor that books zero bytes is a broken meter, and
     // the whole experiment would silently measure nothing.
     assert!(
-        join_aware.bytes_materialized > 0 && join_aware.rows_materialized > 0,
-        "E14 {workload}: materialization counters absent on the join-aware leg"
+        naive.bytes_materialized > 0 && naive.rows_materialized > 0,
+        "E14 {workload}: materialization counters absent on the naive leg"
     );
     assert!(
-        streaming.bytes_materialized < join_aware.bytes_materialized,
-        "E14 {workload}: streaming+pruned materialized {} bytes, join-aware {} — \
-         pruning must strictly reduce materialization",
+        streaming.bytes_materialized < naive.bytes_materialized,
+        "E14 {workload}: streaming materialized {} bytes, naive {} — \
+         streaming must strictly reduce materialization",
         streaming.bytes_materialized,
-        join_aware.bytes_materialized
+        naive.bytes_materialized
     );
 
     ScanProjectRow {
         workload: workload.to_string(),
         n,
         naive,
-        join_aware,
         streaming,
     }
 }
@@ -237,7 +215,7 @@ pub fn wide_scan(n: usize) -> ScanProjectRow {
 }
 
 /// Wide table joined to the narrow dimension: the composed intermediate is
-/// 28 columns wide unpruned, 4 pruned.
+/// 4 of 28 columns wide after pruning.
 pub fn wide_join(n: usize) -> ScanProjectRow {
     let fdbs = wide_federation(n);
     run_workload(
@@ -335,19 +313,19 @@ mod tests {
     use super::*;
 
     /// The E14 acceptance bar: ≥2x wall clock and strictly lower
-    /// bytes_materialized for streaming+pruned vs the PR-2 join-aware
-    /// path on the wide-table join at n ≥ 2000 (1 core, cost model
-    /// zeroed). The strict-bytes check runs inside `run_workload`.
+    /// bytes_materialized for streaming vs the naive oracle on the
+    /// wide-table join at n ≥ 2000 (1 core, cost model zeroed). The
+    /// strict-bytes check runs inside `run_workload`.
     #[test]
-    fn streaming_pruned_beats_join_aware_2x_on_wide_join() {
+    fn streaming_beats_naive_2x_on_wide_join() {
         let row = wide_join_best_of(2_000, 3);
         assert!(
             row.speedup() >= 2.0,
             "expected ≥2x, got {:.2}x ({} vs {} us; {} vs {} bytes)",
             row.speedup(),
-            row.join_aware.elapsed_us,
+            row.naive.elapsed_us,
             row.streaming.elapsed_us,
-            row.join_aware.bytes_materialized,
+            row.naive.bytes_materialized,
             row.streaming.bytes_materialized
         );
     }

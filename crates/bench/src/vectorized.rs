@@ -4,8 +4,8 @@
 //! was materialized as an `Arc<[Value]>` even when the pipeline only
 //! inspected one INT column. This experiment measures what the typed
 //! column batches buy on the E14 wide-table federation: the same engine,
-//! the same `ExecMode::Streaming` pipeline, with only the engine's
-//! `vectorized` toggle flipped between legs. Three workloads:
+//! the same streaming pipeline, with only the request's executor switched
+//! between `ExecMode::Rows` and `ExecMode::Columnar`. Three workloads:
 //!
 //! * **wide scan** — the E14 26-column scan+filter (3 columns referenced),
 //!   the headline ≥2x acceptance workload;
@@ -73,12 +73,17 @@ impl VectorizedRow {
     }
 }
 
-fn run_leg(fdbs: &Fdbs, sql: &str, vectorized: bool, name: &'static str) -> (VectorizedLeg, Table) {
-    fdbs.set_options(fdbs.options().vectorized(vectorized));
+fn run_leg(fdbs: &Fdbs, sql: &str, mode: ExecMode, name: &'static str) -> (VectorizedLeg, Table) {
+    // E17 compares row-batch vs columnar execution of the same streaming
+    // plan, so the planner is pinned to the syntactic reference (E18
+    // measures the planner).
+    let options = ExecOptions::default()
+        .mode(mode)
+        .planner(PlannerMode::Syntactic);
     // Warm the plan cache so the timed run is parse/bind-free.
-    let mut warm = Meter::new();
+    let mut warm = Meter::with_exec_options(options);
     fdbs.execute(sql, &mut warm).expect("E17 warmup failed");
-    let mut meter = Meter::new();
+    let mut meter = Meter::with_exec_options(options);
     let start = Instant::now();
     let table = fdbs.execute(sql, &mut meter).expect("E17 query failed");
     let elapsed_us = start.elapsed().as_micros();
@@ -112,18 +117,8 @@ fn row_multiset(t: &Table) -> Vec<String> {
 /// Run both legs of one workload and check the invariants: identical row
 /// multisets and no materialization regression on the columnar leg.
 pub fn run_workload(fdbs: &Fdbs, workload: &str, n: usize, sql: &str) -> VectorizedRow {
-    // E17 compares row-batch vs columnar execution of the same streaming
-    // plan, so the planner is pinned to the syntactic reference (E18
-    // measures the planner).
-    fdbs.set_options(
-        ExecOptions::default()
-            .mode(ExecMode::Streaming)
-            .projection_pruning(true)
-            .planner(PlannerMode::Syntactic),
-    );
-    let (rows_leg, t_rows) = run_leg(fdbs, sql, false, "row-batch streaming");
-    let (cols_leg, t_cols) = run_leg(fdbs, sql, true, "columnar streaming");
-    fdbs.set_options(ExecOptions::default());
+    let (rows_leg, t_rows) = run_leg(fdbs, sql, ExecMode::Rows, "row-batch streaming");
+    let (cols_leg, t_cols) = run_leg(fdbs, sql, ExecMode::Columnar, "columnar streaming");
 
     assert_eq!(
         row_multiset(&t_rows),

@@ -21,10 +21,12 @@ pub use simple_udtf::SimpleUdtfArchitecture;
 pub use sql_udtf::SqlUdtfArchitecture;
 pub use wfms::WfmsArchitecture;
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use fedwf_fdbs::Fdbs;
 use fedwf_sim::Meter;
+use fedwf_types::sync::Mutex;
 use fedwf_types::{DataType, FedError, FedResult, Ident, Schema, SchemaRef, Table, Value};
 use fedwf_wrapper::{build_access_udtf, Controller};
 
@@ -74,12 +76,43 @@ pub struct DeployedFunction {
     /// host variables).
     pub call_sql: String,
     fdbs: Arc<Fdbs>,
+    /// Set once a call has succeeded since deployment or the last
+    /// [`DeployedFunction::mark_cold`]; from then on a call's warm-up claim
+    /// is this single atomic load.
+    warm: AtomicBool,
+    /// The warm-up claim: held by each cold caller for its whole call, so
+    /// every cache the call fills (statement plan, workflow template) is
+    /// filled — and charged — by the same request.
+    warm_up: Mutex<()>,
 }
 
 impl DeployedFunction {
     /// Invoke the federated function through the FDBS, like an application
     /// issuing the `call_sql` statement with host variables bound.
+    ///
+    /// The first calls after deployment or [`DeployedFunction::mark_cold`]
+    /// run one at a time under the warm-up claim: the first books the
+    /// function's cold costs as one unit, and the calls queued behind it
+    /// find every cache warm.
     pub fn call(&self, args: &[Value], meter: &mut Meter) -> FedResult<Table> {
+        if self.warm.load(Ordering::Acquire) {
+            return self.call_warm(args, meter);
+        }
+        let _claim = self.warm_up.lock();
+        let result = self.call_warm(args, meter);
+        if result.is_ok() {
+            self.warm.store(true, Ordering::Release);
+        }
+        result
+    }
+
+    /// Forget that the function is warm: the caches its calls fill were
+    /// cleared, and the next call must claim the warm-up again.
+    pub fn mark_cold(&self) {
+        self.warm.store(false, Ordering::Release);
+    }
+
+    fn call_warm(&self, args: &[Value], meter: &mut Meter) -> FedResult<Table> {
         if args.len() != self.params.len() {
             return Err(FedError::execution(format!(
                 "federated function {} expects {} arguments, got {}",
@@ -264,5 +297,7 @@ pub(crate) fn make_deployed(
         kind,
         call_sql,
         fdbs,
+        warm: AtomicBool::new(false),
+        warm_up: Mutex::new(()),
     }
 }

@@ -24,8 +24,7 @@
 //!
 use std::time::Duration;
 
-use fedwf_fdbs::ExecOptions;
-use fedwf_sim::{Breakdown, Meter, MetricsSnapshot, TraceDetail, TraceNode};
+use fedwf_sim::{Breakdown, ExecOptions, Meter, MetricsSnapshot, TraceDetail, TraceNode};
 use fedwf_types::{Params, Table, Value};
 
 /// What a [`Request`] executes.
@@ -50,7 +49,7 @@ pub struct Request {
     deadline: Option<Duration>,
     trace: bool,
     trace_detail: TraceDetail,
-    exec_options: Option<ExecOptions>,
+    exec_options: ExecOptions,
 }
 
 impl Request {
@@ -62,7 +61,7 @@ impl Request {
             deadline: None,
             trace: false,
             trace_detail: TraceDetail::Full,
-            exec_options: None,
+            exec_options: ExecOptions::default(),
         }
     }
 
@@ -74,7 +73,7 @@ impl Request {
             deadline: None,
             trace: false,
             trace_detail: TraceDetail::Full,
-            exec_options: None,
+            exec_options: ExecOptions::default(),
         }
     }
 
@@ -123,14 +122,14 @@ impl Request {
         self
     }
 
-    /// Engine options ([`ExecOptions`]: executor, vectorization, pruning,
-    /// memoization, planner mode) to apply before this request executes.
-    /// The options *stick*: they stay in effect for later requests until
-    /// another request (or [`fedwf_fdbs::Fdbs::set_options`]) replaces
-    /// them. The FDBS plan cache keys on the full options value, so
-    /// flipping them never serves a stale plan.
+    /// The execution configuration ([`ExecOptions`]: executor, UDTF memo,
+    /// planner) of this request and of every statement it runs, nested
+    /// ones included. It applies to this request only; a request that sets
+    /// none runs [`ExecOptions::default`]. The FDBS plan cache keys on the
+    /// full options value, so a plan compiled for other options is never
+    /// served.
     pub fn exec_options(mut self, options: ExecOptions) -> Self {
-        self.exec_options = Some(options);
+        self.exec_options = options;
         self
     }
 
@@ -154,7 +153,7 @@ impl Request {
         self.trace_detail
     }
 
-    pub fn exec_options_opt(&self) -> Option<ExecOptions> {
+    pub fn exec_options_opt(&self) -> ExecOptions {
         self.exec_options
     }
 

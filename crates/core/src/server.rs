@@ -264,14 +264,8 @@ impl IntegrationServer {
     /// charges, so the meter is identical either way.
     pub fn execute(&self, request: &Request) -> FedResult<Outcome> {
         let _phase = self.phase.read();
-        // Engine options ride along per request and stick for subsequent
-        // requests (the FDBS holds one live ExecOptions value; the plan
-        // cache keys on it, so flipping options never serves stale plans).
-        if let Some(options) = request.exec_options_opt() {
-            self.fdbs.set_options(options);
-        }
         let before = self.metrics.snapshot();
-        let mut meter = Meter::new();
+        let mut meter = Meter::with_exec_options(request.exec_options_opt());
         if request.trace_requested() {
             meter.set_tracing(true);
             meter.set_trace_detail(request.trace_detail_opt());
@@ -369,6 +363,9 @@ impl IntegrationServer {
         self.wrapper.clear_template_cache();
         self.wrapper.clear_result_cache();
         self.env.lock().clear_caches();
+        for function in self.deployed.read().values() {
+            function.mark_cold();
+        }
     }
 
     /// Whether the environment (all processes) has been booted.
@@ -469,39 +466,122 @@ mod tests {
         assert!(outcome.elapsed_us() > 0);
     }
 
+    /// Statements that run inside a request — issued by a native UDTF body
+    /// back into the FDBS, or on a meter forked onto another thread — run
+    /// under the request's options. Every streaming pipeline closes with
+    /// one sink span (`project`, `sort` or `aggregate`); the naive executor
+    /// opens none.
     #[test]
-    fn exec_options_ride_the_request_and_stick() {
+    fn nested_statements_inherit_the_request_options() {
         use fedwf_fdbs::{ExecMode, ExecOptions};
-
-        let s = server(ArchitectureKind::Wfms);
-        s.deploy(&paper_functions::buy_supp_comp()).unwrap();
-        let args = buy_args(&s);
+        use fedwf_sim::TraceNode;
 
         let naive = ExecOptions::default()
             .mode(ExecMode::Naive)
             .udtf_memo(false);
-        let outcome = s
-            .execute(
-                &Request::function("BuySuppComp")
-                    .params(args.as_slice())
-                    .exec_options(naive),
-            )
-            .unwrap();
-        assert_eq!(outcome.table.value(0, "Decision"), Some(&Value::str("YES")));
-        // The options stick for subsequent requests until replaced.
-        assert_eq!(s.fdbs().options(), naive);
+        let count = |trace: &TraceNode, names: &[&str]| {
+            trace
+                .flatten()
+                .iter()
+                .filter(|n| names.contains(&n.name.as_ref()))
+                .count()
+        };
+        let sinks = |trace: &TraceNode| count(trace, &["project", "sort", "aggregate"]);
+        let executes = |trace: &TraceNode| count(trace, &["fdbs.execute"]);
 
-        let restored = s
-            .execute(
-                &Request::function("BuySuppComp")
-                    .params(args.as_slice())
-                    .exec_options(ExecOptions::default()),
-            )
-            .unwrap();
-        assert_eq!(s.fdbs().options(), ExecOptions::default());
-        // Same virtual execution either way — the plan cache keys on the
-        // options, so flipping them never serves a stale plan.
-        assert_eq!(outcome.table, restored.table);
+        // The Java-UDTF architecture: the function body issues one
+        // statement per local call through `execute_with_params`.
+        let java = server(ArchitectureKind::JavaUdtf);
+        java.deploy(&paper_functions::get_supp_qual()).unwrap();
+        let args = vec![Value::str(java.scenario().well_known_supplier_name())];
+        let traced = |options| {
+            let request = Request::function("GetSuppQual")
+                .params(args.as_slice())
+                .exec_options(options)
+                .traced(true);
+            java.execute(&request).unwrap().trace.unwrap()
+        };
+        let columnar = traced(ExecOptions::default());
+        assert!(executes(&columnar) > 1, "the body issues nested statements");
+        assert_eq!(sinks(&columnar), executes(&columnar));
+        assert_eq!(sinks(&traced(naive)), 0, "a nested statement ran streaming");
+
+        // The threaded WfMS architecture, and a statement run on a fork of
+        // the request's meter on another thread.
+        let config = IntegrationConfig {
+            threaded_wfms: true,
+            ..IntegrationConfig::default()
+                .with_architecture(ArchitectureKind::Wfms)
+                .with_data(DataGenConfig::tiny())
+        };
+        let wfms = IntegrationServer::new(config).unwrap();
+        wfms.deploy(&paper_functions::get_supp_qual()).unwrap();
+        let request = Request::function("GetSuppQual")
+            .params(args.as_slice())
+            .exec_options(naive)
+            .traced(true);
+        let trace = wfms.execute(&request).unwrap().trace.unwrap();
+        assert_eq!((executes(&trace), sinks(&trace)), (1, 0));
+
+        let mut parent = Meter::with_exec_options(naive);
+        parent.set_tracing(true);
+        let child = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let mut child = parent.fork();
+                    let sql = "SELECT T.Qual FROM TABLE (GetSuppQual(p0)) AS T";
+                    let bound = [("p0", args[0].clone())];
+                    wfms.fdbs()
+                        .execute_with_params(sql, &bound, &mut child)
+                        .unwrap();
+                    child
+                })
+                .join()
+                .unwrap()
+        });
+        parent.join(vec![child]);
+        let trace = parent.finish_trace().unwrap();
+        assert_eq!((executes(&trace), sinks(&trace)), (1, 0));
+    }
+
+    #[test]
+    fn exec_options_ride_the_request_only() {
+        use fedwf_fdbs::{ExecMode, ExecOptions};
+
+        let s = server(ArchitectureKind::SqlUdtf);
+        s.deploy(&paper_functions::get_supp_qual_relia()).unwrap();
+        let no = s.scenario().well_known_supplier_no();
+        query(&s, "CREATE TABLE K (N INT)", &[]).unwrap();
+        let insert = format!("INSERT INTO K VALUES ({no}), ({no}), ({no})");
+        query(&s, &insert, &[]).unwrap();
+        // A dependent function over three identical arguments: memoized it
+        // runs once, under the naive executor three times.
+        let sql = "SELECT T.Qual FROM K, TABLE (GetSuppQualRelia(K.N)) AS T";
+        let run = |request: Request| s.execute(&request).unwrap();
+        let steps = |outcome: &Outcome| -> Vec<String> {
+            outcome
+                .meter
+                .charges()
+                .iter()
+                .map(|c| c.step.clone())
+                .collect()
+        };
+        let naive = ExecOptions::default()
+            .mode(ExecMode::Naive)
+            .udtf_memo(false);
+        // Warm both configurations, then record their warm charges.
+        run(Request::sql(sql));
+        run(Request::sql(sql).exec_options(naive));
+        let default_steps = steps(&run(Request::sql(sql)));
+        let naive_outcome = run(Request::sql(sql).exec_options(naive));
+        assert_eq!(naive_outcome.table.row_count(), 3);
+        let naive_steps = steps(&naive_outcome);
+        assert!(
+            naive_steps.len() > default_steps.len(),
+            "naive runs the function per row: {naive_steps:?} vs {default_steps:?}"
+        );
+        // A following request without options runs the default again.
+        assert_eq!(steps(&run(Request::sql(sql))), default_steps);
     }
 
     #[test]

@@ -21,9 +21,9 @@
 
 use std::time::Duration;
 
-use fedwf_fdbs::{ExecMode, ExecOptions, PlannerMode};
 use fedwf_sim::{
-    intern_counter_name, Charge, Component, Meter, MetricsSnapshot, TraceDetail, TraceNode,
+    intern_counter_name, Charge, Component, ExecMode, ExecOptions, Meter, MetricsSnapshot,
+    PlannerMode, TraceDetail, TraceNode,
 };
 use fedwf_types::wire::{WireReader, WireWriter};
 use fedwf_types::{ErrorLayer, FedError, FedResult, Params};
@@ -71,12 +71,14 @@ pub fn encode_request(request: &Request, deadline: Option<Duration>) -> Vec<u8> 
     }
     w.put_bool(request.trace_requested());
     w.put_u8(trace_detail_tag(request.trace_detail_opt()));
-    match request.exec_options_opt() {
-        Some(options) => {
-            w.put_u8(1);
-            put_exec_options(&mut w, options);
-        }
-        None => w.put_u8(0),
+    // Default options stay off the wire; the decoder reads their absence
+    // as the default.
+    let options = request.exec_options_opt();
+    if options == ExecOptions::default() {
+        w.put_u8(0);
+    } else {
+        w.put_u8(1);
+        put_exec_options(&mut w, options);
     }
     w.into_bytes()
 }
@@ -131,14 +133,18 @@ fn trace_detail_from_tag(tag: u8) -> FedResult<TraceDetail> {
     })
 }
 
+/// The v1 options layout: mode tag, vectorized flag, pruning flag, memo
+/// flag, planner tag. The executor travels as the (mode, vectorized) pair
+/// and pruning — always on now — as a constant `true`.
 fn put_exec_options(w: &mut WireWriter, options: ExecOptions) {
-    w.put_u8(match options.mode {
-        ExecMode::Streaming => 0,
-        ExecMode::JoinAware => 1,
-        ExecMode::Naive => 2,
-    });
-    w.put_bool(options.vectorized);
-    w.put_bool(options.projection_pruning);
+    let (mode, vectorized) = match options.mode {
+        ExecMode::Columnar => (0, true),
+        ExecMode::Rows => (0, false),
+        ExecMode::Naive => (2, true),
+    };
+    w.put_u8(mode);
+    w.put_bool(vectorized);
+    w.put_bool(true);
     w.put_bool(options.udtf_memo);
     w.put_u8(match options.planner {
         PlannerMode::Syntactic => 0,
@@ -147,14 +153,20 @@ fn put_exec_options(w: &mut WireWriter, options: ExecOptions) {
 }
 
 fn get_exec_options(r: &mut WireReader<'_>) -> FedResult<ExecOptions> {
-    let mode = match r.get_u8()? {
-        0 => ExecMode::Streaming,
-        1 => ExecMode::JoinAware,
-        2 => ExecMode::Naive,
-        other => return Err(FedError::protocol(format!("unknown exec-mode tag {other}"))),
-    };
+    let tag = r.get_u8()?;
     let vectorized = r.get_bool()?;
-    let projection_pruning = r.get_bool()?;
+    let mode = match (tag, vectorized) {
+        (0, true) => ExecMode::Columnar,
+        (0, false) => ExecMode::Rows,
+        (2, _) => ExecMode::Naive,
+        (1, _) => {
+            return Err(FedError::protocol(
+                "exec-mode tag 1 (join-aware) is no longer supported",
+            ))
+        }
+        (other, _) => return Err(FedError::protocol(format!("unknown exec-mode tag {other}"))),
+    };
+    let _pruning = r.get_bool()?;
     let udtf_memo = r.get_bool()?;
     let planner = match r.get_u8()? {
         0 => PlannerMode::Syntactic,
@@ -163,8 +175,6 @@ fn get_exec_options(r: &mut WireReader<'_>) -> FedResult<ExecOptions> {
     };
     Ok(ExecOptions::default()
         .mode(mode)
-        .vectorized(vectorized)
-        .projection_pruning(projection_pruning)
         .udtf_memo(udtf_memo)
         .planner(planner))
 }
@@ -365,8 +375,8 @@ mod tests {
             .trace_detail(TraceDetail::Coarse)
             .exec_options(
                 ExecOptions::default()
-                    .mode(ExecMode::JoinAware)
-                    .vectorized(false)
+                    .mode(ExecMode::Rows)
+                    .udtf_memo(false)
                     .planner(PlannerMode::Syntactic),
             );
         let bytes = encode_request(&request, request.deadline_opt());
@@ -377,6 +387,67 @@ mod tests {
         assert!(decoded.trace_requested());
         assert_eq!(decoded.trace_detail_opt(), TraceDetail::Coarse);
         assert_eq!(decoded.exec_options_opt(), request.exec_options_opt());
+    }
+
+    /// Hand-built v1 request frames: every (mode, vectorized) pair maps
+    /// onto one executor, the pruning byte is read and ignored, the retired
+    /// join-aware tag is a typed protocol error, and a frame without
+    /// options decodes to the defaults.
+    #[test]
+    fn v1_exec_options_frames_decode() {
+        let frame = |options: Option<[u8; 5]>| {
+            let mut w = WireWriter::new();
+            w.put_u8(TARGET_FUNCTION);
+            w.put_str("F");
+            w.put_u32(0);
+            w.put_u32(0);
+            w.put_u8(0); // no deadline
+            w.put_bool(false);
+            w.put_u8(1); // TraceDetail::Full
+            match options {
+                Some(bytes) => {
+                    w.put_u8(1);
+                    for b in bytes {
+                        w.put_u8(b);
+                    }
+                }
+                None => w.put_u8(0),
+            }
+            w.into_bytes()
+        };
+        let decode = |options| decode_request(&frame(options)).map(|r| r.exec_options_opt());
+        let default = ExecOptions::default();
+        assert_eq!(decode(None).unwrap(), default);
+        for pruning in [0, 1] {
+            assert_eq!(decode(Some([0, 1, pruning, 1, 1])).unwrap(), default);
+            assert_eq!(
+                decode(Some([0, 0, pruning, 1, 1])).unwrap(),
+                default.mode(ExecMode::Rows)
+            );
+            for vectorized in [0, 1] {
+                assert_eq!(
+                    decode(Some([2, vectorized, pruning, 0, 0])).unwrap(),
+                    default
+                        .mode(ExecMode::Naive)
+                        .udtf_memo(false)
+                        .planner(PlannerMode::Syntactic)
+                );
+            }
+        }
+        assert!(decode(Some([1, 1, 1, 1, 1])).unwrap_err().is_protocol());
+        assert!(decode(Some([3, 1, 1, 1, 1])).unwrap_err().is_protocol());
+        // The encoder writes the same layout, and nothing for the defaults.
+        for mode in [ExecMode::Columnar, ExecMode::Rows, ExecMode::Naive] {
+            let options = default.mode(mode).udtf_memo(false);
+            let request = Request::function("F").exec_options(options);
+            let bytes = encode_request(&request, None);
+            assert_eq!(decode_request(&bytes).unwrap().exec_options_opt(), options);
+        }
+        assert_eq!(
+            encode_request(&Request::function("F"), None),
+            frame(None),
+            "default options stay off the wire"
+        );
     }
 
     #[test]

@@ -1,127 +1,47 @@
 //! The FDBS facade: statement execution, plan cache, SQL UDTF bodies.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fedwf_sim::{Component, CostModel, Meter, SpanNameCache};
+use fedwf_sim::{Component, CostModel, ExecOptions, Meter, PlannerMode, SpanNameCache};
 use fedwf_sql::{parse_statement, parse_statements, Expr, SelectStmt, Statement};
 use fedwf_types::sync::RwLock;
 use fedwf_types::{implicit_cast, DataType, FedError, FedResult, Ident, Row, Schema, Table, Value};
 
 use crate::catalog::Catalog;
-use crate::exec::{execute_plan, invoke_udtf, ExecMode};
-use crate::optimizer::{optimize, PlannerMode};
+use crate::exec::{execute_plan, invoke_udtf};
+use crate::optimizer::optimize;
 use crate::plan::{FromStep, Plan, PlanBuilder};
 use crate::udtf::{ChargeItem, ChargeSpec, Udtf, UdtfKind};
 
-/// Bound host variables for one statement: the typed signature, the values
-/// in slot order, and the derived plan-cache key.
-type BoundHostParams = (Vec<(Ident, DataType)>, Vec<Value>, String);
+/// Bound host variables for one statement: the typed signature and the
+/// values in slot order.
+type BoundHostParams = (Vec<(Ident, DataType)>, Vec<Value>);
 
-/// The complete execution configuration of an engine, set atomically as one
-/// value. Built with chainable setters from [`ExecOptions::default`]:
-///
-/// ```
-/// use fedwf_fdbs::{ExecOptions, PlannerMode};
-/// let opts = ExecOptions::default()
-///     .vectorized(false)
-///     .planner(PlannerMode::Syntactic);
-/// assert!(opts.projection_pruning);
-/// ```
-///
-/// [`ExecOptions::cache_tag`] is the single configuration component of the
-/// plan-cache key, so a plan bound under one configuration is never served
-/// to an engine configured another way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Which executor strategy [`execute_plan`] uses: streaming (default),
-    /// the materializing join-aware path, or the naive reference path.
-    pub mode: ExecMode,
-    /// Run [`ExecMode::Streaming`] over typed column batches (the default).
-    /// Off gives the row-at-a-time streaming executor — kept callable as
-    /// the E17 comparison baseline.
-    pub vectorized: bool,
-    /// Prune unreferenced columns out of FROM steps at bind time and push
-    /// the projection into the scans. Off for the unpruned baselines in E14.
-    pub projection_pruning: bool,
-    /// Memoize dependent UDTF invocations within one step by argument
-    /// tuple. Off for experiments that need per-prefix-row cost semantics.
-    pub udtf_memo: bool,
-    /// Which planner turns bound statements into physical plans: cost-based
-    /// (default) or the syntactic FROM-order reference.
-    pub planner: PlannerMode,
-}
-
-impl Default for ExecOptions {
-    fn default() -> ExecOptions {
-        ExecOptions {
-            mode: ExecMode::Streaming,
-            vectorized: true,
-            projection_pruning: true,
-            udtf_memo: true,
-            planner: PlannerMode::CostBased,
-        }
-    }
-}
-
-impl ExecOptions {
-    /// Use `exec_mode` as the executor strategy.
-    pub fn mode(mut self, mode: ExecMode) -> ExecOptions {
-        self.mode = mode;
-        self
-    }
-
-    /// Toggle columnar-batch streaming execution.
-    pub fn vectorized(mut self, enabled: bool) -> ExecOptions {
-        self.vectorized = enabled;
-        self
-    }
-
-    /// Toggle bind-time projection pruning.
-    pub fn projection_pruning(mut self, enabled: bool) -> ExecOptions {
-        self.projection_pruning = enabled;
-        self
-    }
-
-    /// Toggle the dependent-UDTF memo.
-    pub fn udtf_memo(mut self, enabled: bool) -> ExecOptions {
-        self.udtf_memo = enabled;
-        self
-    }
-
-    /// Use `planner` to turn bound statements into physical plans.
-    pub fn planner(mut self, planner: PlannerMode) -> ExecOptions {
-        self.planner = planner;
-        self
-    }
-
-    /// The plan-cache key component encoding this configuration.
-    pub fn cache_tag(&self) -> String {
-        format!(
-            "m{}v{}p{}u{}q{}",
-            match self.mode {
-                ExecMode::Streaming => 's',
-                ExecMode::JoinAware => 'j',
-                ExecMode::Naive => 'n',
-            },
-            self.vectorized as u8,
-            self.projection_pruning as u8,
-            self.udtf_memo as u8,
-            match self.planner {
-                PlannerMode::Syntactic => 's',
-                PlannerMode::CostBased => 'c',
-            },
-        )
-    }
+/// A plan-cache key: what was compiled, for which host-variable signature,
+/// under which execution configuration. Keying on the whole
+/// [`ExecOptions`] means a plan compiled for one request's configuration is
+/// never served to a request running another.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum PlanKey {
+    /// A SELECT by statement text (the raw text, or the rendering of a
+    /// parsed statement for EXPLAIN and scripts).
+    Select {
+        sql: String,
+        host: Vec<(Ident, DataType)>,
+        options: ExecOptions,
+    },
+    /// The SQL body of a table function (its parameters are its host
+    /// variables).
+    Function { name: Ident, options: ExecOptions },
 }
 
 /// The federated database system engine.
 pub struct Fdbs {
     catalog: Catalog,
     cost: CostModel,
-    plan_cache: RwLock<HashMap<String, Arc<Plan>>>,
-    /// The engine's execution configuration; see [`ExecOptions`].
-    options: RwLock<ExecOptions>,
+    plan_cache: RwLock<HashMap<PlanKey, Arc<Plan>>>,
     /// Interned `udtf {name}` / `fdbs.fn {name}` span names.
     udtf_spans: SpanNameCache<Ident>,
     fn_spans: SpanNameCache<Ident>,
@@ -146,17 +66,9 @@ impl Fdbs {
             catalog: Catalog::with_local(local),
             cost,
             plan_cache: RwLock::new(HashMap::new()),
-            options: RwLock::new(ExecOptions::default()),
             udtf_spans: SpanNameCache::new(),
             fn_spans: SpanNameCache::new(),
         }
-    }
-
-    /// An engine with a non-default execution configuration.
-    pub fn with_options(cost: CostModel, options: ExecOptions) -> Fdbs {
-        let f = Fdbs::new(cost);
-        f.set_options(options);
-        f
     }
 
     /// The interned `udtf {name}` span name for a function (pub(crate):
@@ -172,43 +84,6 @@ impl Fdbs {
 
     pub fn cost(&self) -> &CostModel {
         &self.cost
-    }
-
-    /// The engine's current execution configuration.
-    pub fn options(&self) -> ExecOptions {
-        *self.options.read()
-    }
-
-    /// Replace the execution configuration wholesale. Cached plans are
-    /// keyed on [`ExecOptions::cache_tag`], so reconfiguring never serves
-    /// a plan bound under a different configuration.
-    pub fn set_options(&self, options: ExecOptions) {
-        *self.options.write() = options;
-    }
-
-    /// The strategy [`execute_plan`] uses for this engine.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.options().mode
-    }
-
-    /// Whether bind-time projection pruning is applied to new plans.
-    pub fn projection_pruning_enabled(&self) -> bool {
-        self.options().projection_pruning
-    }
-
-    /// Whether dependent UDTF invocations are memoized per step.
-    pub fn udtf_memo_enabled(&self) -> bool {
-        self.options().udtf_memo
-    }
-
-    /// Whether the streaming executor runs vectorized (columnar batches).
-    pub fn vectorized_enabled(&self) -> bool {
-        self.options().vectorized
-    }
-
-    /// Which planner compiles statements for this engine.
-    pub fn planner_mode(&self) -> PlannerMode {
-        self.options().planner
     }
 
     /// ANALYZE: collect statistics (row count, per-column NDV, min/max,
@@ -298,8 +173,13 @@ impl Fdbs {
         // only be a SELECT plan; DDL clears the whole cache, so a hit is
         // never stale. A NULL host variable falls through to the slow path
         // (its type cannot participate in the cache key).
-        if let Ok((_, values, cache_key)) = self.host_params_and_key(sql, params) {
-            let cached = self.plan_cache.read().get(&cache_key).cloned();
+        if let Ok((host, values)) = host_params(params) {
+            let key = PlanKey::Select {
+                sql: sql.to_owned(),
+                host,
+                options: meter.exec_options(),
+            };
+            let cached = self.plan_cache.read().get(&key).cloned();
             if let Some(plan) = cached {
                 return execute_plan(self, &plan, &values, meter);
             }
@@ -416,8 +296,8 @@ impl Fdbs {
         for stmt in &stmts {
             last = match stmt {
                 Statement::Select(select) => {
-                    let key = format!("script:{select}");
-                    let (plan, values) = self.plan_select(&key, select, &[], meter)?;
+                    let (plan, values) =
+                        self.plan_select(&select.to_string(), select, &[], meter)?;
                     execute_plan(self, &plan, &values, meter)?
                 }
                 explain @ (Statement::Explain(_) | Statement::ExplainAnalyze(_)) => {
@@ -436,64 +316,52 @@ impl Fdbs {
         invoke_udtf(self, &udtf, args, meter)
     }
 
-    /// Bind the host variables and derive the plan-cache key for a SELECT:
-    /// the raw statement text, the host-variable signature, and the
-    /// [`ExecOptions::cache_tag`] (a plan bound under one configuration
-    /// must never be served to an engine configured another way).
-    fn host_params_and_key(
-        &self,
-        cache_key_base: &str,
-        params: &[(&str, Value)],
-    ) -> FedResult<BoundHostParams> {
-        let mut param_defs: Vec<(Ident, DataType)> = Vec::with_capacity(params.len());
-        let mut values: Vec<Value> = Vec::with_capacity(params.len());
-        for (name, value) in params {
-            let dt = value.data_type().ok_or_else(|| {
-                FedError::bind(format!(
-                    "host variable {name} is NULL; its type cannot be inferred"
-                ))
-            })?;
-            param_defs.push((Ident::new(*name), dt));
-            values.push(value.clone());
-        }
-        let cache_key = format!(
-            "{cache_key_base}|{}|{}",
-            param_defs
-                .iter()
-                .map(|(n, t)| format!("{n}:{t}"))
-                .collect::<Vec<_>>()
-                .join(","),
-            self.options().cache_tag()
-        );
-        Ok((param_defs, values, cache_key))
-    }
-
     /// Plan (with cache) a SELECT. Returns the plan and parameter values in
     /// slot order.
     fn plan_select(
         &self,
-        cache_key_base: &str,
+        sql: &str,
         select: &SelectStmt,
         params: &[(&str, Value)],
         meter: &mut Meter,
     ) -> FedResult<(Arc<Plan>, Vec<Value>)> {
-        let (param_defs, values, cache_key) = self.host_params_and_key(cache_key_base, params)?;
-        if let Some(plan) = self.plan_cache.read().get(&cache_key) {
-            return Ok((plan.clone(), values));
-        }
-        meter.charge(Component::Fdbs, "Compile statement", self.cost.plan_compile);
-        let opts = self.options();
-        let logical = PlanBuilder::new(&self.catalog)
-            .with_host_params(param_defs)
-            .bind_logical(select)?;
-        let plan = optimize(&self.catalog, logical, opts.planner)?;
-        let plan = Arc::new(if opts.projection_pruning {
-            plan.prune_projections()
-        } else {
-            plan
-        });
-        self.plan_cache.write().insert(cache_key, plan.clone());
+        let (host, values) = host_params(params)?;
+        let key = PlanKey::Select {
+            sql: sql.to_owned(),
+            host: host.clone(),
+            options: meter.exec_options(),
+        };
+        let plan = self.cached_plan(key, meter, |planner| {
+            let logical = PlanBuilder::new(&self.catalog)
+                .with_host_params(host)
+                .bind_logical(select)?;
+            optimize(&self.catalog, logical, planner)
+        })?;
         Ok((plan, values))
+    }
+
+    /// The cached plan under `key`, compiled with the request's planner on
+    /// a miss. Concurrent cold callers may each compile, but only the
+    /// caller whose insert wins books "Compile statement" — the one
+    /// cold-charge rule every cache follows, so a cold statement is charged
+    /// exactly once per cache generation.
+    fn cached_plan(
+        &self,
+        key: PlanKey,
+        meter: &mut Meter,
+        compile: impl FnOnce(PlannerMode) -> FedResult<Plan>,
+    ) -> FedResult<Arc<Plan>> {
+        if let Some(plan) = self.plan_cache.read().get(&key) {
+            return Ok(plan.clone());
+        }
+        let plan = Arc::new(compile(meter.exec_options().planner)?.prune_projections());
+        match self.plan_cache.write().entry(key) {
+            Entry::Occupied(e) => Ok(e.get().clone()),
+            Entry::Vacant(e) => {
+                meter.charge(Component::Fdbs, "Compile statement", self.cost.plan_compile);
+                Ok(e.insert(plan).clone())
+            }
+        }
     }
 
     /// Execute the SQL body of an I-UDTF with bound argument values.
@@ -523,28 +391,16 @@ impl Fdbs {
         args: &[Value],
         meter: &mut Meter,
     ) -> FedResult<Table> {
-        let opts = self.options();
-        let cache_key = format!("fn:{}|{}", udtf.name.normalized(), opts.cache_tag());
-        let plan = {
-            let cached = self.plan_cache.read().get(&cache_key).cloned();
-            match cached {
-                Some(p) => p,
-                None => {
-                    meter.charge(Component::Fdbs, "Compile statement", self.cost.plan_compile);
-                    let logical = PlanBuilder::new(&self.catalog)
-                        .with_function_context(udtf.name.clone(), udtf.params.clone())
-                        .bind_logical(body)?;
-                    let plan = optimize(&self.catalog, logical, opts.planner)?;
-                    let plan = Arc::new(if opts.projection_pruning {
-                        plan.prune_projections()
-                    } else {
-                        plan
-                    });
-                    self.plan_cache.write().insert(cache_key, plan.clone());
-                    plan
-                }
-            }
+        let key = PlanKey::Function {
+            name: udtf.name.clone(),
+            options: meter.exec_options(),
         };
+        let plan = self.cached_plan(key, meter, |planner| {
+            let logical = PlanBuilder::new(&self.catalog)
+                .with_function_context(udtf.name.clone(), udtf.params.clone())
+                .bind_logical(body)?;
+            optimize(&self.catalog, logical, planner)
+        })?;
         execute_plan(self, &plan, args, meter)
     }
 
@@ -698,11 +554,6 @@ impl Fdbs {
             }
             Statement::DropFunction { name } => {
                 self.catalog.drop_udtf(name)?;
-                // Invalidate the cached body plans (one per pruning flag).
-                let prefix = format!("fn:{}|", name.normalized());
-                self.plan_cache
-                    .write()
-                    .retain(|k, _| !k.starts_with(&prefix));
                 Ok(done())
             }
         }
@@ -753,6 +604,24 @@ impl std::fmt::Debug for Fdbs {
             .field("cached_plans", &self.cached_plan_count())
             .finish()
     }
+}
+
+/// Bind the host variables of a statement: their typed signature (part of
+/// the plan-cache key) and their values in slot order. A NULL has no type,
+/// so it cannot take part in the signature.
+fn host_params(params: &[(&str, Value)]) -> FedResult<BoundHostParams> {
+    let mut host: Vec<(Ident, DataType)> = Vec::with_capacity(params.len());
+    let mut values: Vec<Value> = Vec::with_capacity(params.len());
+    for (name, value) in params {
+        let dt = value.data_type().ok_or_else(|| {
+            FedError::bind(format!(
+                "host variable {name} is NULL; its type cannot be inferred"
+            ))
+        })?;
+        host.push((Ident::new(*name), dt));
+        values.push(value.clone());
+    }
+    Ok((host, values))
 }
 
 fn done() -> Table {
@@ -989,14 +858,17 @@ mod tests {
     }
 
     #[test]
-    fn pruning_toggle_keys_the_plan_cache() {
+    fn request_options_key_the_plan_cache() {
+        use fedwf_sim::{ExecMode, ExecOptions};
         let f = fdbs();
-        let mut m = Meter::new();
-        f.execute("SELECT Name FROM Suppliers", &mut m).unwrap();
+        f.execute("SELECT Name FROM Suppliers", &mut Meter::new())
+            .unwrap();
         assert_eq!(f.cached_plan_count(), 1);
-        f.set_options(f.options().projection_pruning(false));
+        let naive = ExecOptions::default().mode(ExecMode::Naive);
+        let mut m = Meter::with_exec_options(naive);
         f.execute("SELECT Name FROM Suppliers", &mut m).unwrap();
-        assert_eq!(f.cached_plan_count(), 2, "distinct key per options tag");
+        assert_eq!(f.cached_plan_count(), 2, "distinct key per options value");
+        assert!(m.charges().iter().any(|c| c.step == "Compile statement"));
     }
 
     #[test]

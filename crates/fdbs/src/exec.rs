@@ -1,28 +1,28 @@
-//! The plan executor: a join-aware pipeline over the lateral chain.
+//! The plan executors over the lateral chain.
 //!
-//! Three strategies share this module. The default, [`ExecMode::Streaming`],
-//! pulls bounded row batches through a chain of non-blocking operators
-//! (chunked local scans, lazy hash-join probes, index point lookups,
-//! residual filters, dependent-UDTF calls) so intermediate results are never
-//! materialized whole; only genuine pipeline breakers — hash-join build
-//! sides, buffered foreign/UDTF result sets, ORDER BY, GROUP BY — buffer
-//! rows, and each such buffer is tallied on the meter's materialization
-//! counters. [`ExecMode::JoinAware`] is the materializing ancestor of the
-//! streaming path: it composes each step with its prefix via a hash join on
-//! the equi-join keys the binder extracted (`Plan::step_join_keys`), serves
-//! single-key local scans with index point lookups, memoizes dependent UDTF
-//! invocations by argument tuple, and uses hashed GROUP BY/DISTINCT — but
-//! materializes every composed intermediate. The retained [`ExecMode::Naive`]
-//! path materializes the cross product and re-evaluates the join conjuncts
-//! per composed row — the reference semantics the equivalence suite checks
-//! the fast paths against.
+//! The three plan executors, selected per request by
+//! [`ExecOptions::mode`](fedwf_sim::ExecOptions) on the request's meter:
 //!
-//! All three honor [`Plan::step_projections`]: when the binder pruned a
-//! step, its scan returns only the referenced columns (pushed through
-//! `Database::scan_project` / `ForeignServer::scan_project`) and UDTF result
-//! rows are cut down before composing. `JoinKey::build` keeps the step's
-//! original column numbering, so executors translate build columns into
-//! pruned positions before hashing.
+//! * [`ExecMode::Columnar`] (production, in the `vexec` module) and
+//!   [`ExecMode::Rows`] (its row-batch parity reference) pull bounded
+//!   batches through a chain of non-blocking operators (chunked local
+//!   scans, lazy hash-join probes, index point lookups, residual filters,
+//!   memoized dependent-UDTF calls), so intermediate results are never
+//!   materialized whole; only genuine pipeline breakers — hash-join build
+//!   sides, buffered foreign/UDTF result sets, ORDER BY, GROUP BY — buffer
+//!   rows, and each such buffer is tallied on the meter's materialization
+//!   counters.
+//! * [`ExecMode::Naive`] materializes the cross product of every step,
+//!   re-evaluates the join conjuncts per composed row, and groups and
+//!   de-duplicates by linear search — the reference semantics the
+//!   equivalence suite checks the streaming executors against.
+//!
+//! All three honor [`Plan::step_projections`]: the binder prunes each step
+//! to its referenced columns, scans return only those (pushed through
+//! `Database::scan_project` / `ForeignServer::scan_project`), and UDTF
+//! result rows are cut down before composing. `JoinKey::build` keeps the
+//! step's original column numbering, so executors translate build columns
+//! into pruned positions before hashing.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -30,7 +30,7 @@ use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use fedwf_relstore::{Predicate, RowId};
-use fedwf_sim::{Component, CostModel, Meter, SpanName, TraceNode};
+use fedwf_sim::{Component, CostModel, ExecMode, Meter, SpanName, TraceNode};
 use fedwf_types::{
     implicit_cast, DataType, FedError, FedResult, Ident, ResultExt, Row, SchemaRef, Table, TxnId,
     Value, ValueKey,
@@ -43,45 +43,19 @@ use crate::plan::{Access, AggColumn, AggFn, AggregatePlan, FromStep, JoinKey, Pl
 use crate::udtf::{Udtf, UdtfKind};
 use crate::vexpr::VCol;
 
-/// Which executor strategy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Pull-based batches through non-blocking operators; only pipeline
-    /// breakers (build sides, sorts, aggregates) buffer rows. The default.
-    Streaming,
-    /// Hash joins on extracted equi-join keys, index probes, dependent-UDTF
-    /// memoization, hashed grouping/DISTINCT — materializing every composed
-    /// intermediate. Kept as the PR-2 reference point for E14.
-    JoinAware,
-    /// Cross product + per-row predicate re-evaluation, linear group
-    /// lookup. Kept as the reference path for equivalence testing and the
-    /// E13 scaling comparison.
-    Naive,
-}
-
 /// Rows per streaming batch. Small enough that a batch of wide rows stays
 /// cache-friendly, large enough to amortize per-batch dispatch.
 pub(crate) const STREAM_BATCH_ROWS: usize = 1024;
 
 /// Execute a bound plan against the engine's catalog, booking executor
 /// costs to `meter`. `params` supplies the plan's parameter slots in order.
-/// Uses the engine's configured [`ExecMode`].
+/// The executor is the one the meter's [`ExecOptions`](fedwf_sim::ExecOptions)
+/// name.
 pub fn execute_plan(
     fdbs: &Fdbs,
     plan: &Plan,
     params: &[Value],
     meter: &mut Meter,
-) -> FedResult<Table> {
-    execute_plan_with_mode(fdbs, plan, params, meter, fdbs.exec_mode())
-}
-
-/// [`execute_plan`] with an explicit strategy.
-pub fn execute_plan_with_mode(
-    fdbs: &Fdbs,
-    plan: &Plan,
-    params: &[Value],
-    meter: &mut Meter,
-    mode: ExecMode,
 ) -> FedResult<Table> {
     if params.len() != plan.params.len() {
         return Err(FedError::execution(format!(
@@ -90,47 +64,38 @@ pub fn execute_plan_with_mode(
             params.len()
         )));
     }
-    match mode {
-        ExecMode::Streaming if fdbs.vectorized_enabled() => {
-            crate::vexec::execute_streaming_vectorized(fdbs, plan, params, meter)
-        }
-        ExecMode::Streaming => execute_streaming(fdbs, plan, params, meter),
-        ExecMode::JoinAware | ExecMode::Naive => {
-            execute_materialized(fdbs, plan, params, meter, mode)
-        }
+    match meter.exec_options().mode {
+        ExecMode::Columnar => crate::vexec::execute_streaming_vectorized(fdbs, plan, params, meter),
+        ExecMode::Rows => execute_streaming(fdbs, plan, params, meter),
+        ExecMode::Naive => execute_naive(fdbs, plan, params, meter),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Materializing executors (JoinAware + Naive reference)
+// Naive reference executor
 // ---------------------------------------------------------------------------
 
-fn execute_materialized(
+fn execute_naive(
     fdbs: &Fdbs,
     plan: &Plan,
     params: &[Value],
     meter: &mut Meter,
-    mode: ExecMode,
 ) -> FedResult<Table> {
     let cost = fdbs.cost();
 
     // The lateral chain starts from a single empty row.
     let mut rows: Vec<Row> = vec![Row::empty()];
     for (i, step) in plan.steps.iter().enumerate() {
-        let jk = plan.step_join_keys[i].as_ref();
         let proj = plan.step_projections.get(i).and_then(|p| p.as_deref());
-        let access = plan.step_access.get(i).copied().unwrap_or_default();
-        rows = execute_step(fdbs, step, i, jk, proj, access, rows, params, meter, mode)
+        rows = naive_step(fdbs, step, i, proj, rows, params, meter)
             .context(from_item_context(i, step))?;
         // Every composed intermediate is a materialization point on this
-        // path — that is exactly what the streaming executor avoids.
+        // path — that is exactly what the streaming executors avoid.
         tally_rows(meter, &rows);
-        if mode == ExecMode::Naive {
-            // The naive path ignored the join keys during composition, so
-            // their conjuncts apply here as an ordinary residual filter.
-            if let Some(jk) = jk {
-                rows = filter_rows(rows, &jk.residual, params, meter, cost.predicate_eval)?;
-            }
+        // Composition ignored the join keys, so their conjuncts apply
+        // here as an ordinary residual filter.
+        if let Some(jk) = &plan.step_join_keys[i] {
+            rows = filter_rows(rows, &jk.residual, params, meter, cost.predicate_eval)?;
         }
         if let Some(filter) = &plan.step_filters[i] {
             rows = filter_rows(rows, filter, params, meter, cost.predicate_eval)?;
@@ -140,15 +105,18 @@ fn execute_materialized(
     // Grouping/aggregation replaces the scalar projection entirely; its
     // ORDER BY keys index the aggregate *output* layout.
     if let Some(agg) = &plan.aggregate {
-        let out = aggregate_rows(fdbs, plan, agg, &rows, params, meter, mode)?;
-        return finish_aggregate(plan, out, params);
+        let mut a = Aggregator::new(plan, agg, cost, false);
+        for row in &rows {
+            a.push(row, params, meter)?;
+        }
+        return finish_aggregate(plan, a.finish(meter)?, params);
     }
 
-    scalar_tail(fdbs, plan, rows, params, meter, mode)
+    scalar_tail(fdbs, plan, rows, params, meter, false)
 }
 
 /// Sort (ORDER BY on the aggregate output layout) and LIMIT an aggregate
-/// result — shared by the materializing and streaming paths.
+/// result — shared by the naive and streaming paths.
 pub(crate) fn finish_aggregate(plan: &Plan, mut out: Table, params: &[Value]) -> FedResult<Table> {
     if !plan.order_by.is_empty() {
         let sorted = sort_rows(out.into_rows(), &plan.order_by, params)?;
@@ -163,14 +131,14 @@ pub(crate) fn finish_aggregate(plan: &Plan, mut out: Table, params: &[Value]) ->
 
 /// The scalar (non-aggregate) finishing stages over fully collected rows:
 /// ORDER BY on the pre-projection layout, projection, DISTINCT, LIMIT.
-/// Shared by the materializing paths and the streaming sort sink.
+/// Shared by the naive path and the streaming sort sink.
 pub(crate) fn scalar_tail(
     fdbs: &Fdbs,
     plan: &Plan,
     mut rows: Vec<Row>,
     params: &[Value],
     meter: &mut Meter,
-    mode: ExecMode,
+    hashed: bool,
 ) -> FedResult<Table> {
     let cost = fdbs.cost();
 
@@ -192,34 +160,31 @@ pub(crate) fn scalar_tail(
         out.push_unchecked(Row::new(values));
     }
 
-    // DISTINCT: hashed on the fast paths, quadratic scan on the naive
+    // DISTINCT: hashed on the streaming paths, quadratic scan on the naive
     // reference path. Both keep first-appearance order and group by
     // `index_cmp` equality (`group_key` is hash-consistent with it).
     if plan.distinct {
         let mut deduped = Table::new(plan.out_schema.clone());
-        match mode {
-            ExecMode::Streaming | ExecMode::JoinAware => {
-                let mut seen: HashSet<Vec<ValueKey>> = HashSet::new();
-                for row in out.into_rows() {
-                    let key: Vec<ValueKey> = row.values().iter().map(Value::group_key).collect();
-                    if seen.insert(key) {
-                        deduped.push_unchecked(row);
-                    }
+        if hashed {
+            let mut seen: HashSet<Vec<ValueKey>> = HashSet::new();
+            for row in out.into_rows() {
+                let key: Vec<ValueKey> = row.values().iter().map(Value::group_key).collect();
+                if seen.insert(key) {
+                    deduped.push_unchecked(row);
                 }
             }
-            ExecMode::Naive => {
-                let mut seen: Vec<Row> = Vec::new();
-                for row in out.into_rows() {
-                    let dup = seen.iter().any(|r| {
-                        r.values()
-                            .iter()
-                            .zip(row.values())
-                            .all(|(a, b)| a.index_cmp(b) == std::cmp::Ordering::Equal)
-                    });
-                    if !dup {
-                        seen.push(row.clone());
-                        deduped.push_unchecked(row);
-                    }
+        } else {
+            let mut seen: Vec<Row> = Vec::new();
+            for row in out.into_rows() {
+                let dup = seen.iter().any(|r| {
+                    r.values()
+                        .iter()
+                        .zip(row.values())
+                        .all(|(a, b)| a.index_cmp(b) == std::cmp::Ordering::Equal)
+                });
+                if !dup {
+                    seen.push(row.clone());
+                    deduped.push_unchecked(row);
                 }
             }
         }
@@ -235,135 +200,62 @@ pub(crate) fn scalar_tail(
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn execute_step(
+/// Compose one lateral step with its prefix by cross product: scans once,
+/// independent functions once (booking the join-with-selection beyond the
+/// first position), dependent functions once per prefix row.
+fn naive_step(
     fdbs: &Fdbs,
     step: &FromStep,
     position: usize,
-    jk: Option<&JoinKey>,
     proj: Option<&[usize]>,
-    access: Access,
     prefix: Vec<Row>,
     params: &[Value],
     meter: &mut Meter,
-    mode: ExecMode,
 ) -> FedResult<Vec<Row>> {
     let cost = fdbs.cost();
-    let jk = match mode {
-        ExecMode::Streaming | ExecMode::JoinAware => jk,
-        ExecMode::Naive => None,
-    };
     match step {
         FromStep::ScanLocal { .. } | FromStep::ScanForeign { .. } => {
-            if let (
-                FromStep::ScanLocal {
-                    table,
-                    pushdown,
-                    schema,
-                    ..
-                },
-                Some(jk),
-            ) = (step, jk)
-            {
-                if use_index_probe(fdbs, table, schema, jk, access)? {
-                    return index_probe_join(
-                        fdbs,
-                        table.as_str(),
-                        pushdown,
-                        jk,
-                        proj,
-                        prefix,
-                        params,
-                        meter,
-                    );
-                }
-            }
             let rows = scan_step_rows(fdbs, step, proj, meter)?;
-            match jk {
-                Some(jk) => hash_join(prefix, BuildSide::Rows(rows), jk, proj, params, cost, meter),
-                None => Ok(cross(prefix, &rows)),
-            }
+            Ok(cross(prefix, &rows))
         }
         FromStep::TableFunc {
             udtf,
             args,
-            independent,
+            independent: true,
             ..
         } => {
-            // Independent table functions compose with the prefix via a
-            // join-with-selection; they are also invoked only once (their
-            // result does not depend on prefix rows).
-            if *independent {
+            let arg_values: Vec<Value> = args
+                .iter()
+                .map(|a| a.eval(&[], params))
+                .collect::<FedResult<_>>()?;
+            let result = invoke_udtf(fdbs, udtf, &arg_values, meter)?;
+            let rrows = pruned_rows(&result, proj);
+            tally_rows(meter, &rrows);
+            if position > 0 {
+                meter.charge(
+                    Component::Fdbs,
+                    "Join with selection (compose result sets)",
+                    cost.join_with_selection_setup
+                        + cost.join_with_selection_per_row * (prefix.len() * rrows.len()) as u64,
+                );
+            }
+            Ok(cross(prefix, &rrows))
+        }
+        FromStep::TableFunc { udtf, args, .. } => {
+            let mut out = Vec::new();
+            for row in &prefix {
                 let arg_values: Vec<Value> = args
                     .iter()
-                    .map(|a| a.eval(&[], params))
+                    .map(|a| a.eval(row.values(), params))
                     .collect::<FedResult<_>>()?;
-                let result = invoke_udtf(fdbs, udtf, &arg_values, meter)?;
-                let rrows = pruned_rows(&result, proj);
+                let t = invoke_udtf(fdbs, udtf, &arg_values, meter)?;
+                let rrows = pruned_rows(&t, proj);
                 tally_rows(meter, &rrows);
-                if let Some(jk) = jk {
-                    return hash_join(
-                        prefix,
-                        BuildSide::Rows(rrows),
-                        jk,
-                        proj,
-                        params,
-                        cost,
-                        meter,
-                    );
+                for rrow in &rrows {
+                    out.push(row.concat(rrow));
                 }
-                if position > 0 {
-                    meter.charge(
-                        Component::Fdbs,
-                        "Join with selection (compose result sets)",
-                        cost.join_with_selection_setup
-                            + cost.join_with_selection_per_row
-                                * (prefix.len() * rrows.len()) as u64,
-                    );
-                }
-                Ok(cross(prefix, &rrows))
-            } else {
-                // Dependent: one invocation per prefix row — memoized by
-                // the evaluated argument tuple on the fast paths, so
-                // identical calls (and their Meter charges) happen once.
-                let memo_on = mode != ExecMode::Naive && fdbs.udtf_memo_enabled();
-                let mut memo: HashMap<Vec<(Option<DataType>, ValueKey)>, Vec<Row>> = HashMap::new();
-                let mut out = Vec::new();
-                for row in &prefix {
-                    let arg_values: Vec<Value> = args
-                        .iter()
-                        .map(|a| a.eval(row.values(), params))
-                        .collect::<FedResult<_>>()?;
-                    let fresh;
-                    let result: &[Row] = if memo_on {
-                        // Structural key (type + exact value): argument
-                        // tuples that could implicit-cast differently never
-                        // share an entry.
-                        let key: Vec<(Option<DataType>, ValueKey)> = arg_values
-                            .iter()
-                            .map(|v| (v.data_type(), v.group_key()))
-                            .collect();
-                        match memo.entry(key) {
-                            Entry::Occupied(e) => e.into_mut(),
-                            Entry::Vacant(e) => {
-                                let t = invoke_udtf(fdbs, udtf, &arg_values, meter)?;
-                                let rows = pruned_rows(&t, proj);
-                                tally_rows(meter, &rows);
-                                e.insert(rows)
-                            }
-                        }
-                    } else {
-                        let t = invoke_udtf(fdbs, udtf, &arg_values, meter)?;
-                        fresh = pruned_rows(&t, proj);
-                        tally_rows(meter, &fresh);
-                        &fresh
-                    };
-                    for rrow in result {
-                        out.push(row.concat(rrow));
-                    }
-                }
-                Ok(out)
             }
+            Ok(out)
         }
     }
 }
@@ -480,75 +372,6 @@ pub(crate) fn join_key_checked(v: &Value) -> FedResult<Option<ValueKey>> {
     }
 }
 
-/// Hash-compose the step's build side against `prefix` on the extracted
-/// equi-join keys and book the composition charge — the streaming
-/// [`HashJoin`] operator run over one batch holding the whole prefix.
-#[allow(clippy::too_many_arguments)]
-fn hash_join(
-    prefix: Vec<Row>,
-    build: BuildSide,
-    jk: &JoinKey,
-    proj: Option<&[usize]>,
-    params: &[Value],
-    cost: &CostModel,
-    meter: &mut Meter,
-) -> FedResult<Vec<Row>> {
-    let mut join = HashJoin::new(build, build_positions(&jk.build, proj)?, &jk.probe);
-    let out = join.push_rows(prefix, params)?;
-    join.finish(cost, meter);
-    Ok(out)
-}
-
-/// Serve a single-key local-scan join with index point lookups: one
-/// `scan_eq` per *distinct* probe value, cached, instead of one full scan
-/// plus a cross product. The probe column keeps the table's original
-/// numbering (storage filters before projecting); cached rows come back in
-/// the pruned layout.
-#[allow(clippy::too_many_arguments)]
-fn index_probe_join(
-    fdbs: &Fdbs,
-    table: &str,
-    pushdown: &Predicate,
-    jk: &JoinKey,
-    proj: Option<&[usize]>,
-    prefix: Vec<Row>,
-    params: &[Value],
-    meter: &mut Meter,
-) -> FedResult<Vec<Row>> {
-    let cost = fdbs.cost();
-    let local = fdbs.catalog().local();
-    let build_col = jk.build[0];
-    let mut cache: HashMap<ValueKey, Vec<Row>> = HashMap::new();
-    let mut out = Vec::new();
-    let mut scanned_total = 0u64;
-    for left in &prefix {
-        let v = jk.probe[0].eval(left.values(), params)?;
-        let Some(key) = join_key_checked(&v)? else {
-            continue;
-        };
-        let matches = match cache.entry(key) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let t = local.scan_eq_project(table, build_col, v, pushdown, proj)?;
-                scanned_total += t.row_count() as u64;
-                let rows = t.into_rows();
-                tally_rows(meter, &rows);
-                e.insert(rows)
-            }
-        };
-        for r in matches.iter() {
-            out.push(left.concat(r));
-        }
-    }
-    meter.charge(
-        Component::Fdbs,
-        "Scan local table",
-        cost.predicate_eval * scanned_total,
-    );
-    charge_join(meter, cost, out.len());
-    Ok(out)
-}
-
 /// Stable sort by the evaluated key expressions under `index_cmp`.
 fn sort_rows(rows: Vec<Row>, order: &[(BoundExpr, bool)], params: &[Value]) -> FedResult<Vec<Row>> {
     let mut keyed: Vec<(Vec<Value>, Row)> = rows
@@ -583,7 +406,7 @@ pub(crate) fn table_from_rows(schema: SchemaRef, rows: Vec<Row>) -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental aggregation (shared by all modes)
+// Incremental aggregation (shared by all executors)
 // ---------------------------------------------------------------------------
 
 /// One aggregate column's running state, folded one non-NULL argument at a
@@ -699,12 +522,12 @@ struct Group {
 }
 
 /// Incremental GROUP BY/aggregate state. Rows are pushed one at a time (the
-/// streaming sinks feed it per batch; the materializing paths feed it the
-/// collected row set), and [`Aggregator::finish`] reads the accumulators.
+/// streaming sinks feed it per batch; the naive path feeds it the collected
+/// row set), and [`Aggregator::finish`] reads the accumulators.
 /// Without GROUP BY there is exactly one group — even over zero rows
 /// (`COUNT(*)` of an empty table is 0, `SUM` is NULL). Groups appear in
-/// first-appearance order on every path; the fast paths find them through a
-/// hash map, the naive path by linear `index_cmp` search.
+/// first-appearance order on every path; the streaming paths find them
+/// through a hash map, the naive path by linear `index_cmp` search.
 pub(crate) struct Aggregator<'p> {
     plan: &'p Plan,
     agg: &'p AggregatePlan,
@@ -879,25 +702,6 @@ impl<'p> Aggregator<'p> {
     }
 }
 
-/// Group the input rows by the plan's keys and evaluate the aggregate
-/// columns — the collected-rows entry point over [`Aggregator`].
-#[allow(clippy::too_many_arguments)]
-fn aggregate_rows(
-    fdbs: &Fdbs,
-    plan: &Plan,
-    agg: &AggregatePlan,
-    rows: &[Row],
-    params: &[Value],
-    meter: &mut Meter,
-    mode: ExecMode,
-) -> FedResult<Table> {
-    let mut a = Aggregator::new(plan, agg, fdbs.cost(), mode != ExecMode::Naive);
-    for row in rows {
-        a.push(row, params, meter)?;
-    }
-    a.finish(meter)
-}
-
 /// Widen an aggregate result to the declared column type. A value that
 /// does not fit the declared type is a hard error — pushing it through
 /// unchecked would corrupt the result table's schema invariants.
@@ -981,7 +785,7 @@ impl Source<'_> {
     }
 
     /// Book the deferred scan charge — one record for the whole scan, same
-    /// total as the materializing paths book for their single full scan.
+    /// total as the naive path books for its single full scan.
     fn finish(&self, cost: &CostModel, meter: &mut Meter) {
         if let Source::Chunked { matched, .. } = self {
             meter.charge(
@@ -997,8 +801,8 @@ impl Source<'_> {
 /// build sides, buffered foreign/UDTF results, probe caches) is built at
 /// prepare time or on demand and tallied as materialized; batches flowing
 /// through are not. Charges whose amounts depend on totals (join
-/// composition, index-probe scans) are deferred to [`Op::finish`] so they
-/// match the materializing paths' single-record formulas.
+/// composition, index-probe scans) are deferred to [`Op::finish`] and
+/// booked as one record each.
 pub(crate) enum Op<'p> {
     HashJoin(HashJoin<'p>),
     IndexProbe {
@@ -1133,8 +937,7 @@ impl Op<'_> {
         }
     }
 
-    /// Book the deferred composition charges so totals match the
-    /// materializing paths exactly.
+    /// Book the deferred composition charges, one record per operator.
     pub(crate) fn finish(&self, cost: &CostModel, meter: &mut Meter) {
         match self {
             Op::HashJoin(join) => join.finish(cost, meter),
@@ -1369,8 +1172,7 @@ fn execute_streaming(
 
     // Prepare the operator chain. Build sides, foreign result sets, and
     // independent UDTF results are produced (and their charges booked)
-    // eagerly, exactly as the materializing paths do even over an empty
-    // prefix.
+    // eagerly, exactly as the naive path does even over an empty prefix.
     let mut ops = prepare_ops(fdbs, plan, params, meter, leads, prepare_step_op)?;
     let mut sink = new_sink(plan, cost);
 
@@ -1382,7 +1184,7 @@ fn execute_streaming(
 
     // Pull batches until the source runs dry or LIMIT is satisfied. When
     // LIMIT stops the pull early, upstream work (and its Fdbs-side charges)
-    // that the materializing paths would still perform simply never happens.
+    // that the naive path would still perform simply never happens.
     loop {
         let (w0, v0) = probe_mark(wall, meter);
         let Some(mut batch) = source.next_batch(fdbs)? else {
@@ -1531,7 +1333,7 @@ pub(crate) fn finish_pipeline(
 
     match sink {
         Sink::Aggregate(agg) => finish_aggregate(plan, agg.finish(meter)?, params),
-        Sink::Sort(rows) => scalar_tail(fdbs, plan, rows, params, meter, ExecMode::Streaming),
+        Sink::Sort(rows) => scalar_tail(fdbs, plan, rows, params, meter, true),
         Sink::Project { out, .. } => {
             if let Some(limit) = plan.limit {
                 if out.row_count() as u64 > limit {
@@ -1612,7 +1414,7 @@ pub(crate) fn prepare_step_op<'p>(
                     udtf,
                     args,
                     projection: proj,
-                    memo_on: fdbs.udtf_memo_enabled(),
+                    memo_on: meter.exec_options().udtf_memo,
                     memo: HashMap::new(),
                 })
             }
@@ -1848,6 +1650,32 @@ mod tests {
         assert!(build_positions(&[2], Some(&[1, 3, 5])).is_err());
     }
 
+    /// Aggregate `rows` the way the naive oracle (`streaming = false`) or
+    /// the streaming aggregate sink (`streaming = true`) does.
+    fn aggregate(
+        fdbs: &Fdbs,
+        plan: &Plan,
+        agg: &AggregatePlan,
+        rows: &[Row],
+        streaming: bool,
+    ) -> FedResult<Table> {
+        let mut meter = Meter::new();
+        let cost = fdbs.cost();
+        if !streaming {
+            let mut a = Aggregator::new(plan, agg, cost, false);
+            for row in rows {
+                a.push(row, &[], &mut meter)?;
+            }
+            return a.finish(&mut meter);
+        }
+        let mut sink = new_sink(plan, cost);
+        sink_push(&mut sink, plan, rows.to_vec(), &[], &mut meter, cost)?;
+        match sink {
+            Sink::Aggregate(a) => a.finish(&mut meter),
+            _ => unreachable!("an aggregate plan gets the aggregate sink"),
+        }
+    }
+
     /// A DOUBLE aggregate flowing into a column declared INT must fail
     /// loudly, not be pushed unchecked into the mistyped table.
     #[test]
@@ -1881,10 +1709,8 @@ mod tests {
                 DataType::Int,
             )])),
         };
-        let mut meter = Meter::new();
-        for mode in [ExecMode::JoinAware, ExecMode::Naive] {
-            let err = aggregate_rows(&fdbs, &plan, &agg, &[Row::empty()], &[], &mut meter, mode)
-                .unwrap_err();
+        for streaming in [false, true] {
+            let err = aggregate(&fdbs, &plan, &agg, &[Row::empty()], streaming).unwrap_err();
             assert!(
                 err.to_string().contains("does not fit"),
                 "unexpected error: {err}"
@@ -1930,9 +1756,8 @@ mod tests {
             Row::new(vec![Value::BigInt(i64::MAX)]),
             Row::new(vec![Value::BigInt(1)]),
         ];
-        let mut meter = Meter::new();
-        for mode in [ExecMode::JoinAware, ExecMode::Naive] {
-            let err = aggregate_rows(&fdbs, &plan, &agg, &rows, &[], &mut meter, mode).unwrap_err();
+        for streaming in [false, true] {
+            let err = aggregate(&fdbs, &plan, &agg, &rows, streaming).unwrap_err();
             assert!(err.to_string().contains("SUM overflow"), "{err}");
         }
     }

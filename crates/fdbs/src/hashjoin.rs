@@ -274,8 +274,7 @@ impl<'p> HashJoin<'p> {
         Ok((left, right))
     }
 
-    /// Book the composition charge: one record over build + output rows,
-    /// the materializing paths' formula.
+    /// Book the composition charge: one record over build + output rows.
     pub(crate) fn finish(&self, cost: &CostModel, meter: &mut Meter) {
         charge_join(meter, cost, self.build.len() + self.out_count);
     }

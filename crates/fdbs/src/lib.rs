@@ -72,10 +72,9 @@ pub(crate) mod vexec;
 pub(crate) mod vexpr;
 
 pub use catalog::Catalog;
-pub use engine::{ExecOptions, Fdbs};
-pub use exec::{execute_plan_with_mode, ExecMode};
+pub use engine::Fdbs;
 pub use expr::BoundExpr;
-pub use optimizer::PlannerMode;
+pub use fedwf_sim::{ExecMode, ExecOptions, PlannerMode};
 pub use plan::{JoinKey, LogicalPlan, Plan, PlanBuilder};
 pub use sqlmed::{ForeignServer, RelstoreServer};
 pub use stats::{ColumnStats, TableStatistics};

@@ -25,6 +25,7 @@
 //!    heuristic in charge ([`Access::Auto`]).
 
 use fedwf_relstore::{CmpOp, Predicate};
+use fedwf_sim::PlannerMode;
 use fedwf_sql::BinaryOp;
 use fedwf_types::{DataType, FedResult, Value};
 
@@ -39,28 +40,6 @@ use crate::plan::{
 use crate::stats::{
     self, TableStatistics, DEFAULT_EQ_SELECTIVITY, DEFAULT_NULL_FRACTION, DEFAULT_RANGE_SELECTIVITY,
 };
-
-/// Which planner turns a logical plan into a physical one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlannerMode {
-    /// DB2-style syntactic planning: steps execute in FROM-clause order and
-    /// the executor's own heuristics pick access paths. The pre-optimizer
-    /// behavior, kept as the reference point.
-    Syntactic,
-    /// Reorder joins by estimated cardinality and choose access paths by
-    /// estimated cost.
-    #[default]
-    CostBased,
-}
-
-impl std::fmt::Display for PlannerMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlannerMode::Syntactic => write!(f, "syntactic"),
-            PlannerMode::CostBased => write!(f, "cost-based"),
-        }
-    }
-}
 
 /// Row-count guess for a table with neither statistics nor a live count.
 const DEFAULT_TABLE_ROWS: f64 = 1000.0;

@@ -629,11 +629,7 @@ impl<'a> PlanBuilder<'a> {
     /// [`PlanBuilder::bind_logical`] + [`crate::optimizer::optimize`].
     pub fn bind(&self, stmt: &SelectStmt) -> FedResult<Plan> {
         let logical = self.bind_logical(stmt)?;
-        crate::optimizer::optimize(
-            self.catalog,
-            logical,
-            crate::optimizer::PlannerMode::Syntactic,
-        )
+        crate::optimizer::optimize(self.catalog, logical, fedwf_sim::PlannerMode::Syntactic)
     }
 
     /// Bind a SELECT into a [`LogicalPlan`]: resolve names, bind and fold

@@ -1,7 +1,8 @@
 //! The vectorized streaming executor: typed column batches end to end.
 //!
-//! This is [`crate::exec::ExecMode::Streaming`] with the `Vec<Row>` batches
-//! replaced by [`ColumnBatch`]es. The source pulls column vectors straight
+//! This is [`ExecMode::Columnar`](fedwf_sim::ExecMode): the row-batch
+//! streaming executor ([`ExecMode::Rows`](fedwf_sim::ExecMode)) with the
+//! `Vec<Row>` batches replaced by [`ColumnBatch`]es. The source pulls column vectors straight
 //! out of relstore's version chains (same chunk bounds, same pinned
 //! snapshot epoch), residual filters evaluate predicates into selection
 //! vectors ([`crate::vexpr`]), hash-join and index probes hash join keys
@@ -11,8 +12,7 @@
 //! boundary. A leading foreign scan is the source's one columnar batch, and
 //! hash-join build sides stay columnar ([`crate::hashjoin`]).
 //!
-//! Parity contract with the row-at-a-time streaming path (which stays
-//! callable via [`crate::engine::ExecOptions::vectorized`]):
+//! Parity contract with the row-at-a-time streaming path:
 //!
 //! * **Results**: identical rows in identical order. Shared scalar kernels
 //!   plus the fallback rule below make this hold bit-for-bit, NaN and NULL
@@ -530,8 +530,8 @@ fn vsink_push(
     }
 }
 
-/// [`crate::exec::execute_plan_with_mode`]'s streaming strategy over
-/// column batches. Mirrors `execute_streaming` stage for stage — same
+/// The [`ExecMode::Columnar`](fedwf_sim::ExecMode) executor of
+/// [`crate::exec::execute_plan`]. Mirrors `execute_streaming` stage for stage — same
 /// probe names, same deferred charges, same LIMIT-driven early stop.
 pub(crate) fn execute_streaming_vectorized(
     fdbs: &Fdbs,

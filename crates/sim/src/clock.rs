@@ -3,6 +3,7 @@
 use std::sync::{Arc, Mutex};
 
 use crate::cost::Component;
+use crate::options::ExecOptions;
 use crate::trace::{SpanName, TraceBuf, TraceDetail, TraceNode};
 
 /// A single booked cost: which component was exercised, a human-readable
@@ -37,12 +38,30 @@ pub struct Meter {
     /// the untraced meter stays one pointer wider than before and every
     /// span operation is a single `None` check when tracing is off.
     trace: Option<Box<TraceBuf>>,
+    /// The execution configuration of the request this branch belongs to.
+    options: ExecOptions,
 }
 
 impl Meter {
-    /// A fresh meter starting at virtual time zero.
+    /// A fresh meter starting at virtual time zero, running the default
+    /// [`ExecOptions`].
     pub fn new() -> Meter {
         Meter::default()
+    }
+
+    /// A fresh meter for a request that runs under `options`.
+    pub fn with_exec_options(options: ExecOptions) -> Meter {
+        Meter {
+            options,
+            ..Meter::default()
+        }
+    }
+
+    /// The execution configuration of this branch's request. Forks inherit
+    /// it, so every statement a request runs — nested or on a parallel
+    /// branch — executes under the same options.
+    pub fn exec_options(&self) -> ExecOptions {
+        self.options
     }
 
     /// Current virtual time on this branch, in microseconds.
@@ -211,6 +230,7 @@ impl Meter {
             rows_materialized,
             bytes_materialized,
             trace: None,
+            options: ExecOptions::default(),
         }
     }
 
@@ -225,14 +245,16 @@ impl Meter {
         }
     }
 
-    /// Fork a child meter starting at this branch's current time. Children
-    /// of a tracing parent trace too, into their own buffer; `join` folds
-    /// the child spans back under the parent's innermost open span.
+    /// Fork a child meter starting at this branch's current time, under
+    /// the same [`ExecOptions`]. Children of a tracing parent trace too,
+    /// into their own buffer; `join` folds the child spans back under the
+    /// parent's innermost open span.
     pub fn fork(&self) -> Meter {
         Meter {
             now_us: self.now_us,
             origin_us: self.now_us,
             trace: self.trace.as_ref().map(|t| Box::new(t.new_like())),
+            options: self.options,
             ..Meter::default()
         }
     }
@@ -590,6 +612,17 @@ mod tests {
         let names: Vec<&str> = root.children.iter().map(|c| c.name.as_ref()).collect();
         assert_eq!(names, ["activity A", "activity B"]);
         assert_eq!(root.elapsed_us(), 70);
+    }
+
+    #[test]
+    fn forks_inherit_the_request_options() {
+        use crate::{ExecMode, ExecOptions};
+        let options = ExecOptions::default()
+            .mode(ExecMode::Naive)
+            .udtf_memo(false);
+        let m = Meter::with_exec_options(options);
+        assert_eq!(m.fork().fork().exec_options(), options);
+        assert_eq!(Meter::new().exec_options(), ExecOptions::default());
     }
 
     #[test]

@@ -45,6 +45,7 @@ pub mod clock;
 pub mod cost;
 pub mod env;
 pub mod metrics;
+pub mod options;
 pub mod trace;
 pub mod wall;
 
@@ -53,5 +54,6 @@ pub use clock::{Charge, Meter, MeterHandle};
 pub use cost::{Component, CostModel};
 pub use env::EnvState;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
+pub use options::{ExecMode, ExecOptions, PlannerMode};
 pub use trace::{intern_counter_name, BookedSet, SpanName, SpanNameCache, TraceDetail, TraceNode};
 pub use wall::{LatencyHistogram, WallClock};

@@ -6,8 +6,9 @@
 //! concerns that must never leak into what the paper measures about the
 //! architectures. Part A drives generated join/filter/DISTINCT/aggregate
 //! queries (including 3-way joins over skewed-NDV columns) straight into
-//! an [`fedwf::fdbs::Fdbs`], crossing executor × vectorization × pruning
-//! × planner mode; Part B replays the paper's Fig. 5 workload on all four
+//! an [`fedwf::fdbs::Fdbs`], crossing executor × planner mode, and hold the
+//! naive executor to the same result over a bound plan with and without
+//! projection pruning; Part B replays the paper's Fig. 5 workload on all four
 //! integration architectures under both executors. The two streaming
 //! executors (row batches and column batches) are held to the stricter
 //! parity contract of `crates/fdbs/src/vexec.rs`: identical rows in
@@ -18,11 +19,15 @@ use std::sync::Arc;
 use fedwf::core::{
     paper_functions, ArchitectureKind, IntegrationConfig, IntegrationServer, Request,
 };
+use fedwf::fdbs::exec::execute_plan;
+use fedwf::fdbs::optimizer::optimize;
 use fedwf::fdbs::{
-    ChargeItem, ChargeSpec, ExecMode, ExecOptions, Fdbs, PlannerMode, RelstoreServer, Udtf,
+    ChargeItem, ChargeSpec, ExecMode, ExecOptions, Fdbs, Plan, PlanBuilder, PlannerMode,
+    RelstoreServer, Udtf,
 };
 use fedwf::relstore::Database;
 use fedwf::sim::{Charge, Component, CostModel, Meter};
+use fedwf::sql::{parse_statement, Statement};
 use fedwf::types::check;
 use fedwf::types::rng::Rng;
 use fedwf::types::{DataType, Ident, Row, Schema, Table, Value};
@@ -371,8 +376,14 @@ fn row_multiset(t: &Table) -> Vec<String> {
 /// composition work, keyed without virtual start times (the two executors
 /// legitimately book different FDBS durations in between).
 /// Positional call through the unified [`Request`] surface.
-fn call_fn(s: &IntegrationServer, name: &str, args: &[Value]) -> fedwf::core::Outcome {
-    s.execute(&Request::function(name).params(args)).unwrap()
+fn call_fn(
+    s: &IntegrationServer,
+    name: &str,
+    args: &[Value],
+    options: ExecOptions,
+) -> fedwf::core::Outcome {
+    s.execute(&Request::function(name).params(args).exec_options(options))
+        .unwrap()
 }
 
 fn arch_charges(charges: &[Charge]) -> Vec<(Component, String, u64)> {
@@ -418,8 +429,7 @@ struct StreamRun {
 }
 
 fn stream_run(fdbs: &Fdbs, q: &Query, options: ExecOptions) -> StreamRun {
-    fdbs.set_options(options);
-    let mut meter = Meter::new();
+    let mut meter = Meter::with_exec_options(options);
     meter.set_tracing(true);
     let result = q.run(fdbs, &mut meter).map(|t| rendered_in_order(&t));
     let spans = meter
@@ -444,6 +454,10 @@ fn generated_queries_agree_between_executors() {
     });
 }
 
+/// The executor × planner matrix every generated query runs through.
+const MODES: [ExecMode; 3] = [ExecMode::Naive, ExecMode::Rows, ExecMode::Columnar];
+const PLANNERS: [PlannerMode; 2] = [PlannerMode::Syntactic, PlannerMode::CostBased];
+
 /// Run `q` on every executor configuration and hold each to the naive
 /// reference (row multiset, architecture charges) and the two streaming
 /// executors to their exact parity contract. `nan` says a NaN in the data
@@ -456,16 +470,12 @@ fn check_query(fdbs: &Fdbs, q: &Query, nan: bool) {
             .err()
             .is_none_or(|e| nan && e.contains("cannot compare") && e.contains("NaN"))
     };
-    // Reference: the naive cross-product path in syntactic FROM
-    // order with pruning off.
-    fdbs.set_options(
-        ExecOptions::default()
-            .mode(ExecMode::Naive)
-            .udtf_memo(false)
-            .projection_pruning(false)
-            .planner(PlannerMode::Syntactic),
-    );
-    let mut naive_meter = Meter::new();
+    // Reference: the naive cross-product path in syntactic FROM order.
+    let naive_options = ExecOptions::default()
+        .mode(ExecMode::Naive)
+        .udtf_memo(false)
+        .planner(PlannerMode::Syntactic);
+    let mut naive_meter = Meter::with_exec_options(naive_options);
     let naive = q.run(fdbs, &mut naive_meter);
     // A NaN join key is an error on the hash-join paths even where
     // the naive path never compares it (every pairing is with a
@@ -477,78 +487,59 @@ fn check_query(fdbs: &Fdbs, q: &Query, nan: bool) {
     let naive_rows = naive.as_ref().map(row_multiset);
     let naive_arch = arch_charges(naive_meter.charges());
 
-    // Every (executor, vectorization, pruning, planner)
-    // combination must reproduce the reference row multiset and
-    // architecture charge multiset — join reordering may change
-    // FDBS-internal composition work, never the rows and never
-    // the charges the paper attributes to the architectures.
-    // Streaming runs twice: over row batches (the retained
-    // reference pipeline) and over column batches.
-    for (mode, vectorized) in [
-        (ExecMode::Naive, true),
-        (ExecMode::JoinAware, true),
-        (ExecMode::Streaming, false),
-        (ExecMode::Streaming, true),
-    ] {
-        for pruning in [false, true] {
-            for planner in [PlannerMode::Syntactic, PlannerMode::CostBased] {
-                let options = ExecOptions::default()
-                    .mode(mode)
-                    .vectorized(vectorized)
-                    .projection_pruning(pruning)
-                    .planner(planner)
-                    .udtf_memo(false);
-                fdbs.set_options(options);
-                let mut meter = Meter::new();
-                let got = q.run(fdbs, &mut meter);
-                assert!(
-                    ok_or_nan_error(&got),
-                    "{q} failed ({mode:?}, vectorized={vectorized}, \
-                     pruning={pruning}, {planner}): {got:?}"
-                );
-                let (Ok(want), Ok(got)) = (&naive_rows, &got) else {
-                    continue;
-                };
-                assert_eq!(
-                    want,
-                    &row_multiset(got),
-                    "row multisets diverge for {q} ({mode:?}, \
-                     vectorized={vectorized}, pruning={pruning}, {planner})"
-                );
-                assert_eq!(
-                    naive_arch,
-                    arch_charges(meter.charges()),
-                    "architecture charges diverge for {q} ({mode:?}, \
-                     vectorized={vectorized}, pruning={pruning}, {planner})"
-                );
-            }
+    // Projection pruning is invisible: the naive executor over the same
+    // bound plan, unpruned and pruned, gives the same rows and the same
+    // architecture charges.
+    check_pruning(fdbs, q, naive_options, &ok_or_nan_error);
+
+    // Every (executor, planner) combination must reproduce the reference
+    // row multiset and architecture charge multiset — join reordering may
+    // change FDBS-internal composition work, never the rows and never the
+    // charges the paper attributes to the architectures.
+    for mode in MODES {
+        for planner in PLANNERS {
+            let options = ExecOptions::default()
+                .mode(mode)
+                .planner(planner)
+                .udtf_memo(false);
+            let mut meter = Meter::with_exec_options(options);
+            let got = q.run(fdbs, &mut meter);
+            assert!(
+                ok_or_nan_error(&got),
+                "{q} failed ({mode:?}, {planner}): {got:?}"
+            );
+            let (Ok(want), Ok(got)) = (&naive_rows, &got) else {
+                continue;
+            };
+            assert_eq!(
+                want,
+                &row_multiset(got),
+                "row multisets diverge for {q} ({mode:?}, {planner})"
+            );
+            assert_eq!(
+                naive_arch,
+                arch_charges(meter.charges()),
+                "architecture charges diverge for {q} ({mode:?}, {planner})"
+            );
         }
     }
 
     // The parity contract between the two streaming executors is
     // exact: same rows in the same order (or the same error), the
     // same virtual time, the same probe names.
-    for pruning in [false, true] {
-        for planner in [PlannerMode::Syntactic, PlannerMode::CostBased] {
-            let options = ExecOptions::default()
-                .mode(ExecMode::Streaming)
-                .projection_pruning(pruning)
-                .planner(planner)
-                .udtf_memo(false);
-            let rows = stream_run(fdbs, q, options.vectorized(false));
-            let cols = stream_run(fdbs, q, options.vectorized(true));
-            assert_eq!(
-                rows, cols,
-                "row and columnar streaming diverge for {q} \
-                 (pruning={pruning}, {planner})"
-            );
-        }
+    for planner in PLANNERS {
+        let options = ExecOptions::default().planner(planner).udtf_memo(false);
+        let rows = stream_run(fdbs, q, options.mode(ExecMode::Rows));
+        let cols = stream_run(fdbs, q, options.mode(ExecMode::Columnar));
+        assert_eq!(
+            rows, cols,
+            "row and columnar streaming diverge for {q} ({planner})"
+        );
     }
 
     // Memoization may only *remove* dependent-UDTF invocations —
-    // never change the rows. (The default configuration:
-    // streaming, vectorized, pruned, cost-based, memo on.)
-    fdbs.set_options(ExecOptions::default());
+    // never change the rows. (The default configuration: columnar
+    // streaming, cost-based, memo on.)
     let mut memo_meter = Meter::new();
     let memoed = q.run(fdbs, &mut memo_meter);
     if let (Ok(want), Ok(memoed)) = (&naive_rows, &memoed) {
@@ -568,6 +559,45 @@ fn check_query(fdbs: &Fdbs, q: &Query, nan: bool) {
             "{q} failed with memoization: {memoed:?}"
         );
     }
+}
+
+/// Bind `q` once, then run the naive executor over the unpruned plan and
+/// over its pruned projection: rows and architecture charges must agree.
+fn check_pruning(
+    fdbs: &Fdbs,
+    q: &Query,
+    options: ExecOptions,
+    ok_or_nan_error: &dyn Fn(&Result<Table, String>) -> bool,
+) {
+    let Ok(Statement::Select(select)) = parse_statement(&q.sql) else {
+        panic!("generated query is not a SELECT: {q}");
+    };
+    let host = q
+        .params
+        .iter()
+        .map(|(n, v)| (Ident::new(*n), v.data_type().expect("binds are typed")))
+        .collect();
+    let values: Vec<Value> = q.params.iter().map(|(_, v)| v.clone()).collect();
+    let logical = PlanBuilder::new(fdbs.catalog())
+        .with_host_params(host)
+        .bind_logical(&select)
+        .unwrap();
+    let unpruned = optimize(fdbs.catalog(), logical, options.planner).unwrap();
+    let pruned = unpruned.clone().prune_projections();
+    let run = |plan: &Plan| {
+        let mut meter = Meter::with_exec_options(options);
+        let result = execute_plan(fdbs, plan, &values, &mut meter).map_err(|e| e.to_string());
+        assert!(ok_or_nan_error(&result), "{q} failed: {result:?}");
+        (
+            result.map(|t| row_multiset(&t)),
+            arch_charges(meter.charges()),
+        )
+    };
+    assert_eq!(
+        run(&unpruned),
+        run(&pruned),
+        "pruning changed the rows or architecture charges of {q}"
+    );
 }
 
 /// Register `rows` of F(K INT, D DOUBLE, W INT) as the foreign table
@@ -668,7 +698,6 @@ fn double_join_keys_and_aggregates_at_the_edges() {
     }
 
     // -0.0 really joined 0: two F rows (-0.0 and 0.0) times two T1 rows.
-    fdbs.set_options(ExecOptions::default());
     let joined = queries[2].run(&fdbs, &mut meter).unwrap();
     let zeros = joined
         .rows()
@@ -677,38 +706,28 @@ fn double_join_keys_and_aggregates_at_the_edges() {
         .count();
     assert_eq!(zeros, 6, "{:?}", rendered_in_order(&joined));
 
-    // A NaN join key fails every hash-join path, and both streaming
-    // executors with the very same error.
+    // A NaN join key fails every hash-join path: both streaming executors
+    // under both planners, with the very same error.
     let nan_join = Query::from("SELECT FN.D, A.V FROM FN, T1 AS A WHERE A.K = FN.D AND FN.W > Lo")
         .bind("Lo", -1);
     let mut errors = Vec::new();
-    for (mode, vectorized) in [
-        (ExecMode::JoinAware, true),
-        (ExecMode::Streaming, false),
-        (ExecMode::Streaming, true),
-    ] {
-        for planner in [PlannerMode::Syntactic, PlannerMode::CostBased] {
-            fdbs.set_options(
-                ExecOptions::default()
-                    .mode(mode)
-                    .vectorized(vectorized)
-                    .planner(planner),
-            );
-            let err = nan_join.run(&fdbs, &mut meter).unwrap_err();
+    for mode in [ExecMode::Rows, ExecMode::Columnar] {
+        for planner in PLANNERS {
+            let options = ExecOptions::default().mode(mode).planner(planner);
+            let err = nan_join
+                .run(&fdbs, &mut Meter::with_exec_options(options))
+                .unwrap_err();
             assert!(err.contains("cannot compare NaN in a join key"), "{err}");
-            if mode == ExecMode::Streaming {
-                errors.push(err);
-            }
+            errors.push(err);
         }
     }
     errors.dedup();
     assert_eq!(errors.len(), 1, "{errors:?}");
-    fdbs.set_options(ExecOptions::default());
 }
 
 /// ORDER BY may reference a column the SELECT list never mentions; the
-/// pruner must keep it in the step projection for the sort, on both the
-/// streaming and materializing paths.
+/// pruner must keep it in the step projection for the sort, on every
+/// executor.
 #[test]
 fn order_by_on_non_projected_column_survives_pruning() {
     let fdbs = Fdbs::new(CostModel::zero());
@@ -719,8 +738,8 @@ fn order_by_on_non_projected_column_survives_pruning() {
         &mut meter,
     )
     .unwrap();
-    for mode in [ExecMode::Streaming, ExecMode::JoinAware, ExecMode::Naive] {
-        fdbs.set_options(fdbs.options().mode(mode));
+    for mode in MODES {
+        let mut meter = Meter::with_exec_options(ExecOptions::default().mode(mode));
         let t = fdbs
             .execute("SELECT S FROM T ORDER BY V DESC", &mut meter)
             .unwrap();
@@ -749,34 +768,18 @@ fn index_probe_join_with_pruned_projection() {
     // both R.A and the key column R.K (the probe happens in storage).
     let sql = "SELECT L.V, B.W FROM L, R AS B WHERE B.K = L.K ORDER BY L.V";
     let mut expect: Option<Vec<String>> = None;
-    for (mode, vectorized) in [
-        (ExecMode::Naive, true),
-        (ExecMode::JoinAware, true),
-        (ExecMode::Streaming, false),
-        (ExecMode::Streaming, true),
-    ] {
-        for pruning in [false, true] {
-            fdbs.set_options(
-                ExecOptions::default()
-                    .mode(mode)
-                    .vectorized(vectorized)
-                    .projection_pruning(pruning),
-            );
-            let t = fdbs.execute(sql, &mut meter).unwrap();
-            let rows = row_multiset(&t);
-            match &expect {
-                None => {
-                    assert_eq!(rows, ["10|100", "20|200", "21|200"].map(String::from));
-                    expect = Some(rows);
-                }
-                Some(e) => assert_eq!(
-                    e, &rows,
-                    "({mode:?}, vectorized={vectorized}, pruning={pruning})"
-                ),
+    for mode in MODES {
+        let mut meter = Meter::with_exec_options(ExecOptions::default().mode(mode));
+        let t = fdbs.execute(sql, &mut meter).unwrap();
+        let rows = row_multiset(&t);
+        match &expect {
+            None => {
+                assert_eq!(rows, ["10|100", "20|200", "21|200"].map(String::from));
+                expect = Some(rows);
             }
+            Some(e) => assert_eq!(e, &rows, "{mode:?}"),
         }
     }
-    fdbs.set_options(ExecOptions::default());
 }
 
 /// Column batches hold 1024 rows, so a 2,600-row table spans three of
@@ -785,7 +788,7 @@ fn index_probe_join_with_pruned_projection() {
 /// land mid-batch — one inside the first batch's successor, one deep in
 /// the third. The vectorized executor must match row-batch streaming
 /// *row-for-row in order* (the parity contract), and both must match the
-/// materializing executors as multisets.
+/// naive executor as multisets.
 #[test]
 fn batch_boundary_limit_and_varchar_edges() {
     let fdbs = Fdbs::new(CostModel::zero());
@@ -822,29 +825,23 @@ fn batch_boundary_limit_and_varchar_edges() {
         "SELECT COUNT(*) AS n FROM T WHERE T.V > 50",
         "SELECT T.V, COUNT(*) AS c FROM T GROUP BY T.V ORDER BY 1",
     ];
+    let run = |sql: &str, mode| {
+        let mut meter = Meter::with_exec_options(ExecOptions::default().mode(mode));
+        fdbs.execute(sql, &mut meter).unwrap()
+    };
     for sql in queries {
-        fdbs.set_options(
-            ExecOptions::default()
-                .mode(ExecMode::Streaming)
-                .vectorized(false),
-        );
-        let reference = fdbs.execute(sql, &mut meter).unwrap();
-        fdbs.set_options(fdbs.options().vectorized(true));
-        let vectorized = fdbs.execute(sql, &mut meter).unwrap();
+        let reference = run(sql, ExecMode::Rows);
         assert_eq!(
-            reference, vectorized,
+            reference,
+            run(sql, ExecMode::Columnar),
             "ordered results diverge between row-batch and columnar \
              streaming for {sql}"
         );
-        for mode in [ExecMode::Naive, ExecMode::JoinAware] {
-            fdbs.set_options(fdbs.options().mode(mode));
-            let got = fdbs.execute(sql, &mut meter).unwrap();
-            assert_eq!(
-                row_multiset(&reference),
-                row_multiset(&got),
-                "row multisets diverge for {sql} ({mode:?})"
-            );
-        }
+        assert_eq!(
+            row_multiset(&reference),
+            row_multiset(&run(sql, ExecMode::Naive)),
+            "row multisets diverge for {sql} (naive)"
+        );
     }
 }
 
@@ -867,30 +864,24 @@ fn architectures_agree_between_executors() {
             s
         };
         let naive = make();
-        {
-            let f = naive.fdbs();
-            f.set_options(f.options().mode(ExecMode::Naive));
-        }
-        let aware = make();
-        {
-            let f = aware.fdbs();
-            f.set_options(f.options().udtf_memo(false));
-        }
+        let streaming = make();
+        let naive_options = ExecOptions::default().mode(ExecMode::Naive);
+        let streaming_options = ExecOptions::default().udtf_memo(false);
 
         for (spec, _) in paper_functions::fig5_workload() {
             // The cyclic case is undeployable on the UDTF architectures
             // (the paper's Section 3 complexity result) — but the two
             // executors must agree on deployability too.
             let d = naive.deploy(&spec);
-            assert_eq!(d.is_ok(), aware.deploy(&spec).is_ok(), "{}", spec.name);
+            assert_eq!(d.is_ok(), streaming.deploy(&spec).is_ok(), "{}", spec.name);
             if d.is_err() {
                 continue;
             }
             let args = args_for(&naive, &spec);
             // First (cold) and repeated (warm) calls must both agree.
             for tier in ["first call", "repeated call"] {
-                let a = call_fn(&naive, spec.name.as_str(), &args);
-                let b = call_fn(&aware, spec.name.as_str(), &args);
+                let a = call_fn(&naive, spec.name.as_str(), &args, naive_options);
+                let b = call_fn(&streaming, spec.name.as_str(), &args, streaming_options);
                 assert_eq!(
                     a.table,
                     b.table,
@@ -927,10 +918,6 @@ fn memoized_executor_preserves_results_on_all_architectures() {
             s
         };
         let naive = make();
-        {
-            let f = naive.fdbs();
-            f.set_options(f.options().mode(ExecMode::Naive));
-        }
         let memoed = make();
 
         for (spec, _) in paper_functions::fig5_workload() {
@@ -939,8 +926,9 @@ fn memoized_executor_preserves_results_on_all_architectures() {
             }
             memoed.deploy(&spec).unwrap();
             let args = args_for(&naive, &spec);
-            let a = call_fn(&naive, spec.name.as_str(), &args);
-            let b = call_fn(&memoed, spec.name.as_str(), &args);
+            let naive_options = ExecOptions::default().mode(ExecMode::Naive);
+            let a = call_fn(&naive, spec.name.as_str(), &args, naive_options);
+            let b = call_fn(&memoed, spec.name.as_str(), &args, ExecOptions::default());
             assert_eq!(
                 a.table,
                 b.table,

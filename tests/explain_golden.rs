@@ -59,8 +59,8 @@ fn federation() -> Fdbs {
     f
 }
 
-fn explain(f: &Fdbs, sql: &str) -> String {
-    let mut m = Meter::new();
+fn explain(f: &Fdbs, sql: &str, planner: PlannerMode) -> String {
+    let mut m = Meter::with_exec_options(ExecOptions::default().planner(planner));
     let t = f.execute(sql, &mut m).unwrap();
     (0..t.row_count())
         .map(|i| match t.value(i, "plan") {
@@ -77,9 +77,8 @@ const THREE_WAY: &str = "EXPLAIN SELECT T.A FROM Big AS H, Wide AS W, Tiny AS T 
 #[test]
 fn golden_syntactic_plan() {
     let f = federation();
-    f.set_options(ExecOptions::default().planner(PlannerMode::Syntactic));
     assert_eq!(
-        explain(&f, THREE_WAY),
+        explain(&f, THREE_WAY, PlannerMode::Syntactic),
         "Project [A]\n\
          \x20 HashJoin [2 key(s): Binary { left: Binary { left: Column { index: 0, data_type: Int }, op: Eq, right: Column { index: 2, data_type: Int } }, op: And, right: Binary { left: Column { index: 1, data_type: Int }, op: Eq, right: Column { index: 3, data_type: Int } } }] est=5\n\
          \x20 ScanLocal Tiny AS T est=5\n\
@@ -92,9 +91,8 @@ fn golden_syntactic_plan() {
 #[test]
 fn golden_cost_based_plan() {
     let f = federation();
-    f.set_options(ExecOptions::default().planner(PlannerMode::CostBased));
     assert_eq!(
-        explain(&f, THREE_WAY),
+        explain(&f, THREE_WAY, PlannerMode::CostBased),
         "Project [A]\n\
          \x20 HashJoin [1 key(s): Binary { left: Column { index: 3, data_type: Int }, op: Eq, right: Column { index: 1, data_type: Int } }] est=5\n\
          \x20 ScanLocal Wide AS W est=100\n\
@@ -108,11 +106,11 @@ fn golden_cost_based_plan() {
 #[test]
 fn golden_pushdown_projection_and_limit_notes() {
     let f = federation();
-    f.set_options(ExecOptions::default().planner(PlannerMode::CostBased));
     assert_eq!(
         explain(
             &f,
-            "EXPLAIN SELECT H.P FROM Big AS H WHERE H.A < 20 ORDER BY H.P LIMIT 3"
+            "EXPLAIN SELECT H.P FROM Big AS H WHERE H.A < 20 ORDER BY H.P LIMIT 3",
+            PlannerMode::CostBased,
         ),
         "Limit 3\n\
          Sort [Column { index: 0, data_type: Int } ASC]\n\
@@ -128,10 +126,10 @@ fn golden_pushdown_projection_and_limit_notes() {
 #[test]
 fn explain_analyze_reports_estimates_beside_actuals() {
     let f = federation();
-    f.set_options(ExecOptions::default().planner(PlannerMode::CostBased));
     let text = explain(
         &f,
         &format!("EXPLAIN ANALYZE {}", &THREE_WAY["EXPLAIN ".len()..]),
+        PlannerMode::CostBased,
     );
     let lines: Vec<&str> = text.lines().collect();
 

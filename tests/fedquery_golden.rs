@@ -20,7 +20,7 @@ use fedwf::appsys::datagen::{self, DataGenConfig};
 use fedwf::core::{
     paper_functions, ArchitectureKind, IntegrationConfig, IntegrationServer, Request,
 };
-use fedwf::fdbs::{ExecOptions, RelstoreServer};
+use fedwf::fdbs::{ExecMode, ExecOptions, RelstoreServer};
 use fedwf::relstore::Database;
 use fedwf::sim::{Charge, Component};
 use fedwf::types::rng::Rng;
@@ -216,8 +216,8 @@ fn golden() -> Vec<Pinned> {
 
 #[test]
 fn fedquery_read_shapes_keep_their_virtual_time() {
-    for vectorized in [true, false] {
-        let got = run_shapes(ExecOptions::default().vectorized(vectorized));
-        assert_eq!(got, golden(), "vectorized={vectorized}");
+    for mode in [ExecMode::Columnar, ExecMode::Rows] {
+        let got = run_shapes(ExecOptions::default().mode(mode));
+        assert_eq!(got, golden(), "{mode:?}");
     }
 }

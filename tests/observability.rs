@@ -300,7 +300,7 @@ fn disabled_tracing_is_virtually_invisible() {
 /// query means a batch path lost its tally call.
 #[test]
 fn materialization_counters_fire_at_pipeline_breakers() {
-    use fedwf::fdbs::{ExecMode, Fdbs};
+    use fedwf::fdbs::{ExecMode, ExecOptions, Fdbs};
     use fedwf::sim::{CostModel, Meter};
 
     let fdbs = Fdbs::new(CostModel::zero());
@@ -315,18 +315,15 @@ fn materialization_counters_fire_at_pipeline_breakers() {
         &mut meter,
     )
     .unwrap();
-    fdbs.set_options(fdbs.options().mode(ExecMode::Streaming));
-
-    let run = |vectorized: bool, sql: &str| {
-        fdbs.set_options(fdbs.options().vectorized(vectorized));
-        let mut m = Meter::new();
+    let run = |mode: ExecMode, sql: &str| {
+        let mut m = Meter::with_exec_options(ExecOptions::default().mode(mode));
         fdbs.execute(sql, &mut m).unwrap();
         (m.rows_materialized(), m.bytes_materialized())
     };
 
     let breaker = "SELECT T.K, T.S FROM T WHERE T.V > 1 ORDER BY T.K";
-    let (row_rows, row_bytes) = run(false, breaker);
-    let (col_rows, col_bytes) = run(true, breaker);
+    let (row_rows, row_bytes) = run(ExecMode::Rows, breaker);
+    let (col_rows, col_bytes) = run(ExecMode::Columnar, breaker);
     assert!(
         row_rows > 0 && col_rows > 0,
         "sort buffer booked no rows (row leg {row_rows}, columnar leg {col_rows})"
@@ -342,15 +339,14 @@ fn materialization_counters_fire_at_pipeline_breakers() {
     );
 
     let streaming = "SELECT T.K, T.S FROM T WHERE T.V > 1";
-    for vectorized in [false, true] {
-        let (r, b) = run(vectorized, streaming);
+    for mode in [ExecMode::Rows, ExecMode::Columnar] {
+        let (r, b) = run(mode, streaming);
         assert_eq!(
             (r, b),
             (0, 0),
-            "breaker-free pipeline materialized something (vectorized={vectorized})"
+            "breaker-free pipeline materialized something ({mode:?})"
         );
     }
-    fdbs.set_options(fdbs.options().vectorized(true));
 }
 
 /// The request metrics delta: each execution shows up in the server's

@@ -6,12 +6,14 @@
 //! `call`-style shims stay covered by the crate-level unit tests).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use fedwf::core::{
-    paper_functions, ArchitectureKind, FrontConfig, IntegrationServer, Request, ServerFront,
+    paper_functions, ArchitectureKind, FrontConfig, IntegrationServer, Outcome, Request,
+    ServerFront,
 };
+use fedwf::fdbs::{ExecMode, ExecOptions};
 use fedwf::sim::Component;
 use fedwf::types::Value;
 
@@ -81,6 +83,134 @@ fn cache_clear_is_atomic_with_respect_to_inflight_calls() {
             inconsistencies.is_empty(),
             "calls observed half-cleared caches (compiled, template-loaded): {inconsistencies:?}"
         );
+    }
+}
+
+/// Run `request` on eight threads released together; every call must
+/// succeed.
+fn storm(s: &Arc<IntegrationServer>, request: &Request) -> Vec<Outcome> {
+    let barrier = Arc::new(Barrier::new(8));
+    let callers: Vec<_> = (0..8)
+        .map(|_| {
+            let (s, barrier, request) = (Arc::clone(s), Arc::clone(&barrier), request.clone());
+            std::thread::spawn(move || {
+                barrier.wait();
+                s.execute(&request).expect("storm call")
+            })
+        })
+        .collect();
+    callers
+        .into_iter()
+        .map(|c| c.join().expect("caller panicked"))
+        .collect()
+}
+
+/// Charges across `outcomes` whose step starts with `prefix`.
+fn count_steps(outcomes: &[Outcome], prefix: &str) -> usize {
+    outcomes
+        .iter()
+        .flat_map(|o| o.meter.charges())
+        .filter(|c| c.step.starts_with(prefix))
+        .count()
+}
+
+/// The cold-charge rule under a storm: eight callers racing a cleared
+/// server book exactly one statement compile and one template load per
+/// cache generation between them, both on the same caller, and eight
+/// racing executions of a cold SQL statement book its compile once.
+#[test]
+fn cold_storm_books_each_cold_cost_once_per_generation() {
+    let s = warm_wfms_server();
+    let args = qual_args(&s);
+    let call = Request::function("GetSuppQual").params(args.clone());
+    let query = Request::sql("SELECT T.Qual FROM TABLE (GetSuppQual(Name)) AS T")
+        .bind("Name", args[0].clone());
+    for generation in 0..20 {
+        s.clear_caches();
+        let calls = storm(&s, &call);
+        assert!(calls
+            .iter()
+            .all(|o| o.table.value(0, "Qual") == Some(&Value::Int(93))));
+        assert_eq!(
+            (
+                count_steps(&calls, "Compile statement"),
+                count_steps(&calls, "Load workflow template")
+            ),
+            (1, 1),
+            "generation {generation}: (compiles, template loads)"
+        );
+        // ... and both land on the caller that claimed the warm-up.
+        for outcome in &calls {
+            let one = std::slice::from_ref(outcome);
+            assert_eq!(
+                count_steps(one, "Compile statement"),
+                count_steps(one, "Load workflow template"),
+                "generation {generation}: the cold costs split across callers"
+            );
+        }
+        let queries = storm(&s, &query);
+        assert_eq!(
+            count_steps(&queries, "Compile statement"),
+            1,
+            "generation {generation}: a cold statement compiled more than once"
+        );
+    }
+}
+
+/// Options belong to one request: threads alternating the dependent-UDTF
+/// memo and the naive/columnar executor on a dependent-UDTF query each
+/// book exactly the charges of a sequential run under their own options.
+#[test]
+fn concurrent_requests_run_under_their_own_options() {
+    let s = Arc::new(IntegrationServer::with_architecture(ArchitectureKind::SqlUdtf).unwrap());
+    s.boot();
+    s.deploy(&paper_functions::get_supp_qual_relia()).unwrap();
+    let no = s.scenario().well_known_supplier_no();
+    s.execute(&Request::sql("CREATE TABLE K (N INT)")).unwrap();
+    s.execute(&Request::sql(format!(
+        "INSERT INTO K VALUES ({no}), ({no}), ({no})"
+    )))
+    .unwrap();
+    const SQL: &str = "SELECT T.Qual, T.Relia FROM K, TABLE (GetSuppQualRelia(K.N)) AS T";
+    let naive = ExecOptions::default().mode(ExecMode::Naive);
+    let configs = [
+        ExecOptions::default(),
+        ExecOptions::default().udtf_memo(false),
+        naive,
+        naive.udtf_memo(false),
+    ];
+    let request = |options| Request::sql(SQL).exec_options(options);
+    // Sequential reference: the warm charge log of each configuration.
+    let expected: Vec<_> = configs
+        .iter()
+        .map(|&options| {
+            s.execute(&request(options)).unwrap();
+            s.execute(&request(options)).unwrap().meter.into_charges()
+        })
+        .collect();
+    assert_ne!(expected[0], expected[1], "the memo changes the charges");
+    assert_ne!(expected[1], expected[2], "the executor changes the charges");
+
+    let workers: Vec<_> = (0..4)
+        .map(|t| {
+            let (s, expected) = (Arc::clone(&s), expected.clone());
+            std::thread::spawn(move || {
+                for i in 0..25 {
+                    let k = (t + i) % configs.len();
+                    let outcome = s.execute(&request(configs[k])).unwrap();
+                    assert_eq!(outcome.table.row_count(), 3);
+                    assert_eq!(
+                        outcome.meter.charges(),
+                        expected[k].as_slice(),
+                        "{:?} booked another configuration's charges",
+                        configs[k]
+                    );
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().expect("worker panicked");
     }
 }
 
